@@ -710,50 +710,55 @@ let client_io_timeout_arg default =
               instead of hanging (default %g)."
              default))
 
+(* The main of a long-running daemon ([serve], [route]): stderr logging,
+   SIGHUP -> [reload], SIGTERM / SIGINT -> graceful [shutdown], then block
+   in [wait] until the drain completes.  The handlers only flip atomics
+   (async-signal-safe); the daemon notices within one tick. *)
+let run_daemon ~quiet ~start ~reload ~shutdown ~wait =
+  handle_errors (fun () ->
+      Logs.set_reporter
+        (Logs_threaded.enable ();
+         Logs_fmt.reporter ~dst:Format.err_formatter ());
+      Logs.set_level (Some (if quiet then Logs.Warning else Logs.Info));
+      let t = start () in
+      Sys.set_signal Sys.sighup (Sys.Signal_handle (fun _ -> reload t));
+      let stop _ = shutdown t in
+      Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
+      Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
+      wait t;
+      `Ok ())
+
 let run_serve docs index_dir socket workers queue_limit watch follow
     follow_timeout io_timeout idle_timeout breaker_threshold breaker_cooldown
     slow_threshold slowlog_capacity quiet =
   match index_dir with
   | None -> `Error (false, "--index DIR is required")
   | Some index_dir ->
-      handle_errors (fun () ->
-          Logs.set_reporter
-            (Logs_threaded.enable ();
-             Logs_fmt.reporter ~dst:Format.err_formatter ());
-          Logs.set_level (Some (if quiet then Logs.Warning else Logs.Info));
-          let sources =
-            List.map (fun p -> (Filename.basename p, read_file p)) docs
-          in
-          let cfg =
-            {
-              (Galatex_server.Server.default_config ~index_dir
-                 ~socket_path:socket)
-              with
-              sources;
-              workers;
-              queue_limit;
-              watch_generation = watch;
-              follow;
-              follow_timeout;
-              recv_timeout = io_timeout;
-              idle_timeout;
-              breaker_threshold;
-              breaker_cooldown;
-              slowlog_threshold = slow_threshold /. 1000.;
-              slowlog_capacity;
-            }
-          in
-          let t = Galatex_server.Server.start cfg in
-          (* handlers only flip atomics (async-signal-safe); the accept
-             loop notices within one select tick *)
-          Sys.set_signal Sys.sighup
-            (Sys.Signal_handle
-               (fun _ -> Galatex_server.Server.request_reload t));
-          let stop _ = Galatex_server.Server.request_shutdown t in
-          Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-          Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-          Galatex_server.Server.wait t;
-          `Ok ())
+      let start () =
+        let sources =
+          List.map (fun p -> (Filename.basename p, read_file p)) docs
+        in
+        Galatex_server.Server.start
+          {
+            (Galatex_server.Server.default_config ~index_dir ~socket_path:socket)
+            with
+            sources;
+            workers;
+            queue_limit;
+            watch_generation = watch;
+            follow;
+            follow_timeout;
+            recv_timeout = io_timeout;
+            idle_timeout;
+            breaker_threshold;
+            breaker_cooldown;
+            slowlog_threshold = slow_threshold /. 1000.;
+            slowlog_capacity;
+          }
+      in
+      run_daemon ~quiet ~start ~reload:Galatex_server.Server.request_reload
+        ~shutdown:Galatex_server.Server.request_shutdown
+        ~wait:Galatex_server.Server.wait
 
 let serve_cmd =
   let doc =
@@ -836,50 +841,40 @@ let failover_ticks_arg =
 let run_route shards socket workers queue_limit retries max_lag
     primary_failover failover_ticks deadline io_timeout idle_timeout
     breaker_threshold breaker_cooldown quiet =
-  handle_errors (fun () ->
-      Logs.set_reporter
-        (Logs_threaded.enable ();
-         Logs_fmt.reporter ~dst:Format.err_formatter ());
-      Logs.set_level (Some (if quiet then Logs.Warning else Logs.Info));
-      let endpoints =
-        List.map
-          (fun spec ->
-            match String.split_on_char ',' spec with
-            | primary :: replicas when primary <> "" ->
-                { Galatex_cluster.Router.primary; replicas }
-            | _ ->
-                Xquery.Errors.raise_error Xquery.Errors.FODC0002
-                  "malformed --shard %S: want SOCK[,REPLICA,...]" spec)
-          shards
-      in
-      let cfg =
-        {
-          (Galatex_cluster.Router.default_config ~shards:endpoints
-             ~socket_path:socket)
-          with
-          workers;
-          queue_limit;
-          retries;
-          max_lag;
-          primary_failover;
-          failover_ticks;
-          default_deadline = deadline;
-          recv_timeout = io_timeout;
-          idle_timeout;
-          breaker_threshold;
-          breaker_cooldown;
-        }
-      in
-      let t = Galatex_cluster.Router.start cfg in
-      (* handlers only flip atomics (async-signal-safe); SIGHUP becomes a
-         rolling reload across the shards, one at a time *)
-      Sys.set_signal Sys.sighup
-        (Sys.Signal_handle (fun _ -> Galatex_cluster.Router.request_reload t));
-      let stop _ = Galatex_cluster.Router.request_shutdown t in
-      Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-      Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-      Galatex_cluster.Router.wait t;
-      `Ok ())
+  let start () =
+    let endpoints =
+      List.map
+        (fun spec ->
+          match String.split_on_char ',' spec with
+          | primary :: replicas when primary <> "" ->
+              { Galatex_cluster.Router.primary; replicas }
+          | _ ->
+              Xquery.Errors.raise_error Xquery.Errors.FODC0002
+                "malformed --shard %S: want SOCK[,REPLICA,...]" spec)
+        shards
+    in
+    Galatex_cluster.Router.start
+      {
+        (Galatex_cluster.Router.default_config ~shards:endpoints
+           ~socket_path:socket)
+        with
+        workers;
+        queue_limit;
+        retries;
+        max_lag;
+        primary_failover;
+        failover_ticks;
+        default_deadline = deadline;
+        recv_timeout = io_timeout;
+        idle_timeout;
+        breaker_threshold;
+        breaker_cooldown;
+      }
+  in
+  (* SIGHUP on the router is a rolling reload across the shards *)
+  run_daemon ~quiet ~start ~reload:Galatex_cluster.Router.request_reload
+    ~shutdown:Galatex_cluster.Router.request_shutdown
+    ~wait:Galatex_cluster.Router.wait
 
 let route_cmd =
   let doc =

@@ -1,14 +1,10 @@
 (* The document-sharded cluster router (see router.mli for the contract).
-
-   Thread architecture mirrors the single daemon (server.ml):
-
-     accept thread   select/accept loop, admission control (bounded queue,
-                     GTLX0009 shedding), shutdown drain.
-     ticker thread   polls the rolling-reload flag so a SIGHUP on an idle
-                     router still rolls the shards.
-     worker pool     one framed request per connection; a query worker
-                     scatters to the shards on short-lived per-shard
-                     threads and joins them before replying.
+   It runs on the same daemon shell as a shard (Galatex_server.Daemon):
+   this module supplies the request handler — a query worker scatters to
+   the shards on short-lived per-shard threads and joins them before
+   replying — and the maintenance tick, which polls the rolling-reload
+   flag (so a SIGHUP on an idle router still rolls the shards) and runs
+   the failover sweeps.
 
    The router holds no engine and no locks around shard I/O: all cluster
    state is the breaker registry (thread-safe) and atomic counters, so a
@@ -21,6 +17,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
 module Protocol = Galatex_server.Protocol
 module Client = Galatex_server.Client
 module Breaker = Galatex_server.Breaker
+module Daemon = Galatex_server.Daemon
 
 type endpoint = { primary : string; replicas : string list }
 
@@ -42,9 +39,6 @@ type config = {
   probe_timeout : float;
   reload_timeout : float;
   tick_interval : float;
-  on_request : unit -> unit;
-  jitter : float -> float;
-  sleep : float -> unit;
 }
 
 let default_config ~shards ~socket_path =
@@ -66,23 +60,13 @@ let default_config ~shards ~socket_path =
     probe_timeout = 2.0;
     reload_timeout = 60.0;
     tick_interval = 0.05;
-    on_request = ignore;
-    jitter = (fun bound -> bound *. (0.5 +. Random.float 0.5));
-    sleep = Unix.sleepf;
   }
 
 type t = {
   cfg : config;
   shards : endpoint array;
-  listen_fd : Unix.file_descr;
-  lock : Mutex.t;
-  nonempty : Condition.t;
-  queue : Unix.file_descr Queue.t;
-  mutable draining : bool;
-  mutable stopped : bool;
-  done_cond : Condition.t;
+  daemon : Daemon.t;
   reload_flag : bool Atomic.t;
-  stop_flag : bool Atomic.t;
   breakers : Breaker.t;  (** keyed by endpoint socket path *)
   shard_up : int Atomic.t array;  (** 1 after last contact succeeded *)
   state_lock : Mutex.t;  (** guards [latest] and [ep_fresh] *)
@@ -106,15 +90,10 @@ type t = {
       (** per shard: consecutive ticker probes of the current primary
           that went unanswered (ticker thread only) *)
   (* counters *)
-  accepted : int Atomic.t;
   served : int Atomic.t;
   queries : int Atomic.t;
   partials : int Atomic.t;
   failed : int Atomic.t;
-  shed : int Atomic.t;
-  shed_shutdown : int Atomic.t;
-  client_errors : int Atomic.t;
-  slow_client_disconnects : int Atomic.t;
   shard_attempts : int Atomic.t;
   shard_errors : int Atomic.t;
   shard_bypassed : int Atomic.t;
@@ -132,39 +111,7 @@ type t = {
   mutable last_failover_sweep : float;
       (** ticker thread only: when the last failover probe sweep ran, so
           sweeps pace at the probe timescale, not every flag-poll tick *)
-  mutable accept_thread : Thread.t option;
-  mutable ticker_thread : Thread.t option;
 }
-
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-(* Per-connection I/O bounds, mirroring the daemon's: one framed read or
-   write finishes within [recv_timeout] with progress at least every
-   [idle_timeout] seconds, or the connection is dropped. *)
-let conn_limits t =
-  Galatex_server.Netio.within ~idle:t.cfg.idle_timeout t.cfg.recv_timeout
-
-let send_response t fd resp =
-  try Protocol.write_frame ~limits:(conn_limits t) fd (Protocol.encode_response resp)
-  with
-  | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.ESHUTDOWN), _, _) ->
-      Atomic.incr t.client_errors
-  | Xquery.Errors.Error { code = Xquery.Errors.GTLX0014; _ } ->
-      Atomic.incr t.slow_client_disconnects;
-      Log.debug (fun m -> m "dropping slow client: reply write deadline expired")
-
-let overload_reply t ~code_reason ~depth =
-  let e =
-    Xquery.Errors.make Xquery.Errors.GTLX0009
-      (Printf.sprintf "router overloaded (%s): queue depth %d, retry after %d ms"
-         code_reason depth t.cfg.retry_after_ms)
-  in
-  Protocol.Failure
-    (Protocol.error_of ~retry_after_ms:t.cfg.retry_after_ms ~queue_depth:depth e)
 
 let partial_failure fmt =
   Format.kasprintf
@@ -181,6 +128,16 @@ let stale_failure fmt =
 let now () = Unix.gettimeofday ()
 let mark_up t i up = Atomic.set t.shard_up.(i) (if up then 1 else 0)
 
+(* Jittered exponential backoff before retry [attempt], never past the
+   [left] seconds of budget. *)
+let backoff t ~attempt ~left =
+  Unix.sleepf
+    (Float.min
+       (Client.default_jitter
+          (Client.backoff_bound ~base_ms:t.cfg.retry_after_ms ~cap_ms:1000
+             ~attempt))
+       left)
+
 (* ------------------------------------------------------------------ *)
 (* Replication freshness.  Positions are ordered lexicographically:
    (g1,s1) <= (g2,s2) iff g1 < g2, or g1 = g2 and s1 <= s2 — a higher
@@ -188,50 +145,38 @@ let mark_up t i up = Atomic.set t.shard_up.(i) (if up then 1 else 0)
 
 let pos_leq (g1, s1) (g2, s2) = g1 < g2 || (g1 = g2 && s1 <= s2)
 
+let with_state t f =
+  Mutex.lock t.state_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.state_lock) f
+
 (* Monotone bump: freshness only ever advances, so a straggling reply
    from a lagging replica can never walk the yardstick backwards. *)
 let note_freshness t i path pos =
-  Mutex.lock t.state_lock;
-  if pos_leq t.latest.(i) pos then t.latest.(i) <- pos;
-  Hashtbl.replace t.ep_fresh path pos;
-  Mutex.unlock t.state_lock
+  with_state t (fun () ->
+      if pos_leq t.latest.(i) pos then t.latest.(i) <- pos;
+      Hashtbl.replace t.ep_fresh path pos)
 
-let shard_latest t i =
-  Mutex.lock t.state_lock;
-  let p = t.latest.(i) in
-  Mutex.unlock t.state_lock;
-  p
-
-let endpoint_pos t path =
-  Mutex.lock t.state_lock;
-  let p = Hashtbl.find_opt t.ep_fresh path in
-  Mutex.unlock t.state_lock;
-  p
+let shard_latest t i = with_state t (fun () -> t.latest.(i))
+let endpoint_pos t path = with_state t (fun () -> Hashtbl.find_opt t.ep_fresh path)
 
 (* The current write primary of shard [i] — runtime state, not config. *)
-let shard_primary t i =
-  Mutex.lock t.state_lock;
-  let p = t.current_primary.(i) in
-  Mutex.unlock t.state_lock;
-  p
-
-let shard_epoch_now t i =
-  Mutex.lock t.state_lock;
-  let e = t.shard_epoch.(i) in
-  Mutex.unlock t.state_lock;
-  e
+let shard_primary t i = with_state t (fun () -> t.current_primary.(i))
+let shard_epoch_now t i = with_state t (fun () -> t.shard_epoch.(i))
 
 (* Monotone, like freshness: an epoch observation never walks back. *)
 let note_epoch t i e =
-  Mutex.lock t.state_lock;
-  if e > t.shard_epoch.(i) then t.shard_epoch.(i) <- e;
-  Mutex.unlock t.state_lock
+  with_state t (fun () -> if e > t.shard_epoch.(i) then t.shard_epoch.(i) <- e)
 
 let set_primary t i path epoch =
-  Mutex.lock t.state_lock;
-  t.current_primary.(i) <- path;
-  if epoch > t.shard_epoch.(i) then t.shard_epoch.(i) <- epoch;
-  Mutex.unlock t.state_lock
+  with_state t (fun () ->
+      t.current_primary.(i) <- path;
+      if epoch > t.shard_epoch.(i) then t.shard_epoch.(i) <- epoch)
+
+(* Every endpoint of shard [i], current primary first. *)
+let endpoints_of t i =
+  let ep = t.shards.(i) in
+  let cur = shard_primary t i in
+  (cur, cur :: List.filter (fun p -> p <> cur) (ep.primary :: ep.replicas))
 
 (* Records behind the freshest known position; [None] = not comparable
    (the endpoint's base generation is behind — infinitely stale). *)
@@ -242,11 +187,7 @@ let lag_of ~latest:(lg, ls) (g, s) =
    position is noted before replica lags are judged against it), noting
    freshness and fencing epochs as they come back. *)
 let probe_endpoints t i =
-  let ep = t.shards.(i) in
-  let cur = shard_primary t i in
-  let ordered =
-    cur :: List.filter (fun p -> p <> cur) (ep.primary :: ep.replicas)
-  in
+  let cur, ordered = endpoints_of t i in
   List.map
     (fun path ->
       let role = if path = cur then "primary" else "replica" in
@@ -414,12 +355,8 @@ let sweep_endpoints t ~deadline q i eps =
   | None -> `Swept (!admitted, !last, !stale)
 
 let ask_shard t ~deadline q i =
-  let ep = t.shards.(i) in
   (* current primary first: reads prefer the node taking the writes *)
-  let cur = shard_primary t i in
-  let eps =
-    cur :: List.filter (fun p -> p <> cur) (ep.primary :: ep.replicas)
-  in
+  let _, eps = endpoints_of t i in
   let max_sweeps = 1 + max 0 t.cfg.retries in
   let rec go sweep last stale =
     if sweep > max_sweeps || deadline -. now () <= 0. then
@@ -434,12 +371,7 @@ let ask_shard t ~deadline q i =
       | `Swept (true, last, stale_now) ->
           let left = deadline -. now () in
           if sweep < max_sweeps && left > 0. then
-            t.cfg.sleep
-              (Float.min
-                 (t.cfg.jitter
-                    (Client.backoff_bound ~base_ms:t.cfg.retry_after_ms
-                       ~cap_ms:1000 ~attempt:sweep))
-                 left);
+            backoff t ~attempt:sweep ~left;
           go (sweep + 1) last (stale || stale_now)
   in
   let outcome = go 1 "unasked" false in
@@ -590,16 +522,25 @@ let request_primary t ~budget ~socket_path req =
       in
       if (not retryable) || attempt > max 0 t.cfg.retries then outcome
       else begin
-        t.cfg.sleep
-          (Float.min
-             (t.cfg.jitter
-                (Client.backoff_bound ~base_ms:t.cfg.retry_after_ms
-                   ~cap_ms:1000 ~attempt))
-             (Float.max 0. (deadline -. now ())));
+        backoff t ~attempt ~left:(Float.max 0. (deadline -. now ()));
         go (attempt + 1)
       end
   in
   go 1
+
+(* Partition [i]'s primary refused a write.  A GTLX0013 means the shard
+   fenced us off — someone else moved the timeline — so re-learn the
+   shard's epoch and primary before the caller retries: the refreshed
+   view makes the retry land right. *)
+let write_refused t i ~what (e : Protocol.error_reply) =
+  if e.Protocol.code = "gtlx:GTLX0013" then begin
+    Atomic.incr t.fenced_writes;
+    Log.warn (fun m ->
+        m "partition %d fenced %s (%s); re-discovering its primary and epoch"
+          i what e.Protocol.message);
+    refresh_shard_view t i
+  end;
+  { e with Protocol.message = Printf.sprintf "partition %d: %s" i e.Protocol.message }
 
 let route_update t ops =
   Atomic.incr t.updates;
@@ -649,25 +590,7 @@ let route_update t ops =
               }
         | Ok (Protocol.Failure e) ->
             Atomic.incr t.update_errors;
-            if e.Protocol.code = "gtlx:GTLX0013" then begin
-              (* the shard fenced us off: someone else moved the timeline.
-                 Re-learn the shard's epoch and primary before the caller
-                 retries — the refreshed view makes the retry land right. *)
-              Atomic.incr t.fenced_writes;
-              Log.warn (fun m ->
-                  m
-                    "partition %d fenced an update (%s); re-discovering its \
-                     primary and epoch"
-                    i e.Protocol.message);
-              refresh_shard_view t i
-            end;
-            failure :=
-              Some
-                {
-                  e with
-                  Protocol.message =
-                    Printf.sprintf "partition %d: %s" i e.Protocol.message;
-                }
+            failure := Some (write_refused t i ~what:"an update" e)
         | Ok _ ->
             Atomic.incr t.update_errors;
             failure :=
@@ -713,22 +636,7 @@ let route_compact t =
               c_folded = !merged.Protocol.c_folded + c.Protocol.c_folded;
             }
       | Ok (Protocol.Failure e) ->
-          if e.Protocol.code = "gtlx:GTLX0013" then begin
-            Atomic.incr t.fenced_writes;
-            Log.warn (fun m ->
-                m
-                  "partition %d fenced a compaction (%s); re-discovering its \
-                   primary and epoch"
-                  i e.Protocol.message);
-            refresh_shard_view t i
-          end;
-          failure :=
-            Some
-              {
-                e with
-                Protocol.message =
-                  Printf.sprintf "partition %d: %s" i e.Protocol.message;
-              }
+          failure := Some (write_refused t i ~what:"a compaction" e)
       | Ok _ -> failure := Some (partial_failure "partition %d: unexpected response" i)
       | Error reason ->
           mark_up t i false;
@@ -830,7 +738,7 @@ let cluster_health t =
       Error (partial_failure "no partition answered the health probe (%d down)" n)
   | healths ->
       let merged =
-        merge_health ~own_draining:(locked t (fun () -> t.draining)) healths
+        merge_health ~own_draining:(Daemon.draining t.daemon) healths
       in
       Ok { merged with Protocol.h_endpoints = rows }
 
@@ -1018,10 +926,7 @@ let rolling_reload t =
   | Some e -> Error e
   | None ->
       Atomic.incr t.reloads;
-      Ok
-        (merge_health
-           ~own_draining:(locked t (fun () -> t.draining))
-           !healths)
+      Ok (merge_health ~own_draining:(Daemon.draining t.daemon) !healths)
 
 (* ------------------------------------------------------------------ *)
 (* Stats and metrics.                                                   *)
@@ -1029,16 +934,12 @@ let rolling_reload t =
 let stats t =
   let a = Atomic.get in
   let counters =
-    [
+    Daemon.counters t.daemon
+    @ [
       ("route_queries", a t.queries);
       ("route_partial", a t.partials);
       ("route_failed", a t.failed);
-      ("accepted", a t.accepted);
       ("served", a t.served);
-      ("shed", a t.shed);
-      ("shed_shutdown", a t.shed_shutdown);
-      ("client_errors", a t.client_errors);
-      ("slow_client_disconnects", a t.slow_client_disconnects);
       ("shard_attempts", a t.shard_attempts);
       ("shard_errors", a t.shard_errors);
       ("shard_bypassed", a t.shard_bypassed);
@@ -1055,24 +956,10 @@ let stats t =
       ("demotes_sent", a t.demotes_sent);
       ("fenced_writes", a t.fenced_writes);
       ("primary_failover", if t.cfg.primary_failover then 1 else 0);
-      ("queue_depth", locked t (fun () -> Queue.length t.queue));
-      ("workers", t.cfg.workers);
       ("shards", Array.length t.shards);
     ]
   in
-  let breakers =
-    List.map
-      (fun s ->
-        {
-          Protocol.b_strategy = s.Breaker.strategy;
-          b_state = s.Breaker.state;
-          b_consecutive = s.Breaker.consecutive;
-          b_cooldown = s.Breaker.cooldown;
-          b_trips = s.Breaker.trips;
-        })
-      (Breaker.snapshots t.breakers)
-  in
-  { Protocol.counters; breakers }
+  { Protocol.counters; breakers = Breaker.to_protocol t.breakers }
 
 let metrics_text t =
   let b = Buffer.create 1024 in
@@ -1130,280 +1017,111 @@ let metrics_text t =
 (* ------------------------------------------------------------------ *)
 (* Per-connection dispatch.                                             *)
 
-let handle_reload_request t =
-  if locked t (fun () -> t.draining) then begin
-    Atomic.incr t.shed_shutdown;
-    overload_reply t ~code_reason:"shutting down" ~depth:0
+(* The request handler the daemon shell calls for every decoded request;
+   [served] counts every request the router answered, failed or not. *)
+let dispatch t req =
+  Fun.protect ~finally:(fun () -> Atomic.incr t.served) @@ fun () ->
+  match req with
+  | Protocol.Stats -> Protocol.Stats_reply (stats t)
+  | Protocol.Metrics -> Protocol.Metrics_reply (metrics_text t)
+  | Protocol.Slowlog ->
+      (* the shards keep the slow logs; the router has none *)
+      Protocol.Slowlog_reply []
+  | Protocol.Health -> (
+      match cluster_health t with
+      | Ok h -> Protocol.Health_reply h
+      | Error e -> Protocol.Failure e)
+  | Protocol.Reload -> (
+      Daemon.unless_draining t.daemon @@ fun () ->
+      match rolling_reload t with
+      | Ok h -> Protocol.Health_reply h
+      | Error e -> Protocol.Failure e)
+  | Protocol.Update { ops; epoch = _ } -> (
+      (* the router stamps its own observed epoch on each shard's batch;
+         a direct client's epoch (usually 0) is not forwarded *)
+      try route_update t ops
+      with exn ->
+        Atomic.incr t.update_errors;
+        Daemon.failure exn)
+  | Protocol.Compact _ -> route_compact t
+  | Protocol.Promote _ | Protocol.Demote _ ->
+      Protocol.Failure
+        (Protocol.error_of
+           (Xquery.Errors.make Xquery.Errors.FODC0002
+              "promote/demote are addressed to a shard daemon's socket, not \
+               the router: use `galatex promote SOCK` or --primary-failover"))
+  | Protocol.Fetch_wal _ | Protocol.Fetch_snapshot _ ->
+      (* replication pulls are point-to-point follower↔primary traffic; a
+         router has no log or snapshot to ship *)
+      Protocol.Failure
+        (Protocol.error_of
+           (Xquery.Errors.make Xquery.Errors.FODC0002
+              "replication fetches are served by shard daemons, not the \
+               router: point the follower at its primary's socket"))
+  | Protocol.Query q -> (
+      try scatter_query t q
+      with exn ->
+        Atomic.incr t.failed;
+        Daemon.failure exn)
+
+let tick t =
+  (if Atomic.exchange t.reload_flag false then
+     match rolling_reload t with
+     | Ok h ->
+         Log.info (fun m ->
+             m "rolling reload complete: serving floor generation %d"
+               h.Protocol.h_generation)
+     | Error e ->
+         Log.err (fun m -> m "rolling reload failed: %s" e.Protocol.message));
+  (* failover sweeps probe every endpoint, so they pace at the probe
+     timescale rather than the (much faster) flag-poll tick *)
+  let sweep_every = Float.max t.cfg.tick_interval (t.cfg.probe_timeout /. 4.) in
+  if t.cfg.primary_failover && now () -. t.last_failover_sweep >= sweep_every
+  then begin
+    t.last_failover_sweep <- now ();
+    failover_tick t
   end
-  else
-    match rolling_reload t with
-    | Ok h -> Protocol.Health_reply h
-    | Error e -> Protocol.Failure e
-
-let serve_connection t fd =
-  Fun.protect
-    ~finally:(fun () -> close_quietly fd)
-    (fun () ->
-      t.cfg.on_request ();
-      match Protocol.read_frame ~limits:(conn_limits t) fd with
-      | Error reason ->
-          Atomic.incr t.client_errors;
-          Log.debug (fun m -> m "dropping connection: %s" reason)
-      | exception Xquery.Errors.Error { code = Xquery.Errors.GTLX0014; _ } ->
-          Atomic.incr t.client_errors;
-          Log.debug (fun m -> m "dropping connection: request read deadline expired")
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          Atomic.incr t.client_errors;
-          Log.debug (fun m -> m "dropping connection: receive timeout")
-      | exception Unix.Unix_error (e, _, _) ->
-          Atomic.incr t.client_errors;
-          Log.debug (fun m ->
-              m "dropping connection: %s" (Unix.error_message e))
-      | Ok data ->
-          let resp =
-            match Protocol.decode_request data with
-            | Error reason ->
-                Atomic.incr t.client_errors;
-                Protocol.Failure
-                  {
-                    Protocol.code = "err:XPST0003";
-                    error_class = "static";
-                    message = "malformed request: " ^ reason;
-                    retry_after_ms = None;
-                    queue_depth = None;
-                  }
-            | Ok Protocol.Stats -> Protocol.Stats_reply (stats t)
-            | Ok Protocol.Metrics -> Protocol.Metrics_reply (metrics_text t)
-            | Ok Protocol.Slowlog ->
-                (* the shards keep the slow logs; the router has none *)
-                Protocol.Slowlog_reply []
-            | Ok Protocol.Health -> (
-                match cluster_health t with
-                | Ok h -> Protocol.Health_reply h
-                | Error e -> Protocol.Failure e)
-            | Ok Protocol.Reload -> (
-                try handle_reload_request t
-                with exn ->
-                  Protocol.Failure
-                    (Protocol.error_of (Xquery.Errors.wrap_exn exn)))
-            | Ok (Protocol.Update { ops; epoch = _ }) -> (
-                (* the router stamps its own observed epoch on each
-                   shard's batch; a direct client's epoch (usually 0) is
-                   not forwarded *)
-                try route_update t ops
-                with exn ->
-                  Atomic.incr t.update_errors;
-                  Protocol.Failure
-                    (Protocol.error_of (Xquery.Errors.wrap_exn exn)))
-            | Ok (Protocol.Compact _) -> (
-                try route_compact t
-                with exn ->
-                  Protocol.Failure
-                    (Protocol.error_of (Xquery.Errors.wrap_exn exn)))
-            | Ok (Protocol.Promote _ | Protocol.Demote _) ->
-                Protocol.Failure
-                  (Protocol.error_of
-                     (Xquery.Errors.make Xquery.Errors.FODC0002
-                        "promote/demote are addressed to a shard daemon's \
-                         socket, not the router: use `galatex promote SOCK` \
-                         or --primary-failover"))
-            | Ok (Protocol.Fetch_wal _ | Protocol.Fetch_snapshot _) ->
-                (* replication pulls are point-to-point follower↔primary
-                   traffic; a router has no log or snapshot to ship *)
-                Protocol.Failure
-                  (Protocol.error_of
-                     (Xquery.Errors.make Xquery.Errors.FODC0002
-                        "replication fetches are served by shard daemons, \
-                         not the router: point the follower at its \
-                         primary's socket"))
-            | Ok (Protocol.Query q) -> (
-                try scatter_query t q
-                with exn ->
-                  Atomic.incr t.failed;
-                  Protocol.Failure
-                    (Protocol.error_of (Xquery.Errors.wrap_exn exn)))
-          in
-          Atomic.incr t.served;
-          send_response t fd resp)
-
-let worker_loop t =
-  let rec loop () =
-    Mutex.lock t.lock;
-    while Queue.is_empty t.queue && not t.draining do
-      Condition.wait t.nonempty t.lock
-    done;
-    if Queue.is_empty t.queue then Mutex.unlock t.lock
-    else begin
-      let fd = Queue.pop t.queue in
-      Mutex.unlock t.lock;
-      (try serve_connection t fd
-       with exn ->
-         Atomic.incr t.client_errors;
-         Log.err (fun m ->
-             m "worker absorbed an exception: %s" (Printexc.to_string exn)));
-      loop ()
-    end
-  in
-  loop ()
-
-let ticker_loop t =
-  while not (Atomic.get t.stop_flag) do
-    (try
-       let draining = locked t (fun () -> t.draining) in
-       (if Atomic.exchange t.reload_flag false && not draining then
-          match rolling_reload t with
-          | Ok h ->
-              Log.info (fun m ->
-                  m "rolling reload complete: serving floor generation %d"
-                    h.Protocol.h_generation)
-          | Error e ->
-              Log.err (fun m ->
-                  m "rolling reload failed: %s" e.Protocol.message));
-       (* failover sweeps probe every endpoint, so they pace at the probe
-          timescale rather than the (much faster) flag-poll tick *)
-       let sweep_every =
-         Float.max t.cfg.tick_interval (t.cfg.probe_timeout /. 4.)
-       in
-       if
-         t.cfg.primary_failover && (not draining)
-         && now () -. t.last_failover_sweep >= sweep_every
-       then begin
-         t.last_failover_sweep <- now ();
-         failover_tick t
-       end
-     with exn ->
-       Log.err (fun m ->
-           m "maintenance absorbed an exception: %s" (Printexc.to_string exn)));
-    Thread.delay t.cfg.tick_interval
-  done
 
 (* ------------------------------------------------------------------ *)
-(* Accept loop, drain, lifecycle — same shape as the single daemon.     *)
-
-let admit t client =
-  (* per-connection bounds are enforced end-to-end by Netio limits in
-     [serve_connection]; SO_RCVTIMEO is no defense against slow-loris *)
-  Atomic.incr t.accepted;
-  Mutex.lock t.lock;
-  if t.draining then begin
-    Mutex.unlock t.lock;
-    Atomic.incr t.shed_shutdown;
-    send_response t client (overload_reply t ~code_reason:"shutting down" ~depth:0);
-    close_quietly client
-  end
-  else if Queue.length t.queue >= t.cfg.queue_limit then begin
-    let depth = Queue.length t.queue in
-    Mutex.unlock t.lock;
-    Atomic.incr t.shed;
-    send_response t client (overload_reply t ~code_reason:"queue full" ~depth);
-    close_quietly client
-  end
-  else begin
-    Queue.add client t.queue;
-    Condition.signal t.nonempty;
-    Mutex.unlock t.lock
-  end
-
-let shutdown_drain t workers =
-  let stragglers =
-    locked t (fun () ->
-        t.draining <- true;
-        let fds = List.of_seq (Queue.to_seq t.queue) in
-        Queue.clear t.queue;
-        Condition.broadcast t.nonempty;
-        fds)
-  in
-  List.iter
-    (fun fd ->
-      Atomic.incr t.shed_shutdown;
-      send_response t fd (overload_reply t ~code_reason:"shutting down" ~depth:0);
-      close_quietly fd)
-    stragglers;
-  List.iter Thread.join workers;
-  (match t.ticker_thread with Some th -> Thread.join th | None -> ());
-  close_quietly t.listen_fd;
-  (try Unix.unlink t.cfg.socket_path with Unix.Unix_error _ | Sys_error _ -> ());
-  locked t (fun () ->
-      t.stopped <- true;
-      Condition.broadcast t.done_cond);
-  Log.info (fun m -> m "router shutdown complete")
-
-let accept_loop t workers =
-  let rec loop () =
-    if Atomic.get t.stop_flag then ()
-    else begin
-      (match Unix.select [ t.listen_fd ] [] [] 0.05 with
-      | [ _ ], _, _ -> (
-          match Unix.accept ~cloexec:true t.listen_fd with
-          | client, _ -> admit t client
-          | exception
-              Unix.Unix_error
-                ( ( Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK
-                  | Unix.ECONNABORTED ),
-                  _,
-                  _ ) ->
-              ())
-      | _ -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      loop ()
-    end
-  in
-  (try loop ()
-   with exn ->
-     Log.err (fun m ->
-         m "accept loop absorbed an exception: %s" (Printexc.to_string exn)));
-  shutdown_drain t workers
+(* Lifecycle.                                                           *)
 
 let start (cfg : config) =
   if cfg.shards = [] then invalid_arg "Router.start: no shards";
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  (try
-     if Sys.file_exists cfg.socket_path then Unix.unlink cfg.socket_path
-   with Unix.Unix_error _ | Sys_error _ -> ());
-  let listen_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try
-     Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
-     Unix.listen listen_fd 64
-   with
-  | Unix.Unix_error (e, fn, _) ->
-      close_quietly listen_fd;
-      Xquery.Errors.raise_error Xquery.Errors.FODC0002
-        "cannot route on %s: %s: %s" cfg.socket_path fn (Unix.error_message e));
+  let daemon =
+    Daemon.create ~role:"router"
+      {
+        Daemon.socket_path = cfg.socket_path;
+        workers = cfg.workers;
+        queue_limit = cfg.queue_limit;
+        retry_after_ms = cfg.retry_after_ms;
+        recv_timeout = cfg.recv_timeout;
+        idle_timeout = cfg.idle_timeout;
+        tick_interval = cfg.tick_interval;
+        on_request = ignore;
+      }
+  in
+  let n = List.length cfg.shards in
   let t =
     {
       cfg;
       shards = Array.of_list cfg.shards;
-      listen_fd;
-      lock = Mutex.create ();
-      nonempty = Condition.create ();
-      queue = Queue.create ();
-      draining = false;
-      stopped = false;
-      done_cond = Condition.create ();
+      daemon;
       reload_flag = Atomic.make false;
-      stop_flag = Atomic.make false;
       breakers =
         Breaker.create ~threshold:cfg.breaker_threshold
           ~cooldown:cfg.breaker_cooldown;
-      shard_up =
-        Array.init (List.length cfg.shards) (fun _ -> Atomic.make 1);
+      shard_up = Array.init n (fun _ -> Atomic.make 1);
       state_lock = Mutex.create ();
-      latest = Array.make (List.length cfg.shards) (0, 0);
+      latest = Array.make n (0, 0);
       ep_fresh = Hashtbl.create 16;
       current_primary =
-        Array.of_list
-          (List.map (fun (e : endpoint) -> e.primary) cfg.shards);
-      shard_epoch = Array.make (List.length cfg.shards) 0;
-      primary_down_ticks = Array.make (List.length cfg.shards) 0;
-      accepted = Atomic.make 0;
+        Array.of_list (List.map (fun (e : endpoint) -> e.primary) cfg.shards);
+      shard_epoch = Array.make n 0;
+      primary_down_ticks = Array.make n 0;
       served = Atomic.make 0;
       queries = Atomic.make 0;
       partials = Atomic.make 0;
       failed = Atomic.make 0;
-      shed = Atomic.make 0;
-      shed_shutdown = Atomic.make 0;
-      client_errors = Atomic.make 0;
-      slow_client_disconnects = Atomic.make 0;
       shard_attempts = Atomic.make 0;
       shard_errors = Atomic.make 0;
       shard_bypassed = Atomic.make 0;
@@ -1419,31 +1137,15 @@ let start (cfg : config) =
       demotes_sent = Atomic.make 0;
       fenced_writes = Atomic.make 0;
       last_failover_sweep = 0.;
-      accept_thread = None;
-      ticker_thread = None;
     }
   in
-  let workers =
-    List.init (max 1 cfg.workers) (fun _ -> Thread.create worker_loop t)
-  in
-  t.ticker_thread <- Some (Thread.create ticker_loop t);
-  t.accept_thread <- Some (Thread.create (fun () -> accept_loop t workers) ());
+  Daemon.run daemon ~handle:(dispatch t) ~tick:(fun () -> tick t);
   Log.info (fun m ->
-      m "routing %d partition(s) on %s (%d workers, queue %d)"
-        (Array.length t.shards) cfg.socket_path cfg.workers cfg.queue_limit);
+      m "routing %d partition(s) on %s (%d workers, queue %d)" n
+        cfg.socket_path cfg.workers cfg.queue_limit);
   t
 
 let request_reload t = Atomic.set t.reload_flag true
-let request_shutdown t = Atomic.set t.stop_flag true
-
-let wait t =
-  Mutex.lock t.lock;
-  while not t.stopped do
-    Condition.wait t.done_cond t.lock
-  done;
-  Mutex.unlock t.lock;
-  match t.accept_thread with Some th -> Thread.join th | None -> ()
-
-let stop t =
-  request_shutdown t;
-  wait t
+let request_shutdown t = Daemon.request_shutdown t.daemon
+let wait t = Daemon.wait t.daemon
+let stop t = Daemon.stop t.daemon

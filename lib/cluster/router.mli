@@ -107,13 +107,6 @@ type config = {
       (** per-endpoint wait for a synchronous reload reply — reloads
           replay the write-ahead log, so this is generous (default 60.0) *)
   tick_interval : float;  (** maintenance ticker period (default 0.05) *)
-  on_request : unit -> unit;
-      (** test hook, called by a worker as it picks up a connection
-          (default [ignore]) *)
-  jitter : float -> float;
-      (** maps the deterministic backoff bound to the actual wait
-          (default: uniform in [0.5x, 1.0x]) *)
-  sleep : float -> unit;  (** test hook (default [Unix.sleepf]) *)
 }
 
 val default_config : shards:endpoint list -> socket_path:string -> config

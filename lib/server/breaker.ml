@@ -107,6 +107,18 @@ let snapshots t =
         t.entries []
       |> List.sort compare)
 
+let to_protocol t =
+  List.map
+    (fun s ->
+      {
+        Protocol.b_strategy = s.strategy;
+        b_state = s.state;
+        b_consecutive = s.consecutive;
+        b_cooldown = s.cooldown;
+        b_trips = s.trips;
+      })
+    (snapshots t)
+
 let trips_total t =
   locked t (fun () ->
       Hashtbl.fold (fun _ (e : entry) acc -> acc + e.trips) t.entries 0)

@@ -52,4 +52,7 @@ type snapshot = {
 val snapshots : t -> snapshot list
 (** Every strategy key seen so far, in sorted order. *)
 
+val to_protocol : t -> Protocol.breaker_reply list
+(** {!snapshots} as the wire records a stats reply carries. *)
+
 val trips_total : t -> int

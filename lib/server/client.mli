@@ -30,6 +30,10 @@ val shed_reply : Protocol.response -> Protocol.error_reply option
     is what it is — the retryable case shared by {!query} and the cluster
     router's unicast retry loop. *)
 
+val default_jitter : float -> float
+(** Maps a deterministic backoff bound to the actual wait: uniform random
+    in [0.5x, 1.0x] — the default of {!query} and the router's retries. *)
+
 val backoff_bound : base_ms:int -> cap_ms:int -> attempt:int -> float
 (** Deterministic upper bound (seconds) on the wait before retry attempt
     [attempt] (1-based): [min cap (base * 2^(attempt-1))], clamped so it

@@ -244,10 +244,9 @@ let handle t client ~target ~c2s ~s2c =
 
 let start ~listen ~target ~plan_for =
   (* pumps write into peers that die mid-fault: EPIPE must be an errno,
-     not a process-killing signal (same guard as Server/Router.start —
+     not a process-killing signal (same guard as Daemon.create —
      essential for the standalone [galatex faultnet] proxy) *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
+  Netio.ignore_sigpipe ();
   (try Unix.unlink listen with Unix.Unix_error _ -> ());
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX listen);

@@ -177,3 +177,6 @@ let connect ?(limits = no_limits) path =
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
   fd
+
+let ignore_sigpipe () =
+  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ()

@@ -77,3 +77,9 @@ val read_exact : ?limits:limits -> Unix.file_descr -> int -> (string, string) re
 
 val write_all : ?limits:limits -> Unix.file_descr -> string -> unit
 (** Write all raw bytes (no length prefix) under the limits. *)
+
+val ignore_sigpipe : unit -> unit
+(** Make a write to a vanished peer fail with [EPIPE] instead of killing
+    the process.  Every long-running socket owner calls it before its
+    first write: {!Daemon.create}, a follower's bootstrap pull, the
+    fault-injection proxy. *)

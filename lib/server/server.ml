@@ -1,21 +1,9 @@
-(* The resilient query daemon (see server.mli for the contract).
-
-   Thread architecture:
-
-     accept thread   select/accept loop; admission control (bounded queue
-                     of accepted connections, shedding with GTLX0009 when
-                     full); performs the shutdown drain and joins the
-                     workers and the ticker.
-     ticker thread   dedicated maintenance loop: polls the reload flag and
-                     the snapshot generation (so an *idle* daemon observes
-                     new snapshots too) and runs threshold-triggered WAL
-                     compaction — all OFF both the accept and request
-                     paths.
-     worker pool     each worker pops one connection, reads one framed
-                     request, evaluates it under a fresh governor, writes
-                     one framed response, closes.  Every failure mode —
-                     torn frame, malformed request, evaluation error,
-                     vanished client — is absorbed; a worker never dies.
+(* The resilient query daemon (see server.mli for the contract).  The
+   socket, worker pool, admission queue, ticker and drain are the shared
+   shell (daemon.mli); this module supplies the request handler — each
+   query evaluated under a fresh governor — and the maintenance tick:
+   reload flag, snapshot-generation watch, threshold compaction and the
+   follower's replication pull.
 
    Live updates are single-writer: one [update_lock] serializes Update and
    Compact requests (whichever worker carries them), reloads and background
@@ -24,8 +12,8 @@
    only [lock]).  Lock order: [update_lock] strictly before [lock].
 
    Signal handlers must not take locks (the main thread may hold them), so
-   [request_reload] / [request_shutdown] only flip atomics; the ticker and
-   accept loops notice within one tick. *)
+   [request_reload] only flips an atomic; the ticker notices within one
+   tick. *)
 
 let src = Logs.Src.create "galatex.server" ~doc:"GalaTex query daemon"
 
@@ -92,17 +80,11 @@ let default_config ~index_dir ~socket_path =
 
 type t = {
   cfg : config;
-  listen_fd : Unix.file_descr;
-  lock : Mutex.t;  (** guards queue, engine, draining, reload_io *)
-  nonempty : Condition.t;
-  queue : Unix.file_descr Queue.t;
+  daemon : Daemon.t;
+  lock : Mutex.t;  (** guards engine, reload_io *)
   mutable engine : Galatex.Engine.t;
-  mutable draining : bool;  (** shutdown drain has begun *)
   mutable reload_io_now : unit -> Ftindex.Store.Io.t;
-  mutable stopped : bool;
-  done_cond : Condition.t;
   reload_flag : bool Atomic.t;
-  stop_flag : bool Atomic.t;
   compact_flag : bool Atomic.t;
   update_lock : Mutex.t;
       (** single-writer: serializes updates, compactions and reloads;
@@ -111,16 +93,9 @@ type t = {
   mutable update_io_now : unit -> Ftindex.Store.Io.t;
       (** guarded by update_lock *)
   breaker : Breaker.t;
-  (* counters: atomics so workers never contend on the queue lock *)
-  accepted : int Atomic.t;
+  (* counters: atomics so workers never contend on the engine lock *)
   served : int Atomic.t;
   errors : int Atomic.t;
-  shed : int Atomic.t;
-  shed_shutdown : int Atomic.t;
-  client_errors : int Atomic.t;
-  slow_client_disconnects : int Atomic.t;
-      (** reply writes abandoned because the client stopped reading and
-          the connection's I/O deadline or idle bound expired *)
   breaker_bypassed : int Atomic.t;
   reloads : int Atomic.t;
   reload_failures : int Atomic.t;
@@ -163,8 +138,6 @@ type t = {
       (** per-(strategy, optimize) latency histograms, pre-created so the
           request path only ever reads this list *)
   slowlog : Protocol.slow_entry Obs.Ring.t;
-  mutable accept_thread : Thread.t option;
-  mutable ticker_thread : Thread.t option;
 }
 
 (* all strategy keys a request can carry — histogram labels are bounded *)
@@ -319,7 +292,6 @@ let eval_query t (q : Protocol.query_request) =
 (* Stats.                                                              *)
 
 let stats t =
-  let depth = locked t (fun () -> Queue.length t.queue) in
   let engine = current_engine t in
   (* lag is only well-defined at a matched base generation; a follower
      whose generation trails its primary is flagged, not lag-numbered *)
@@ -332,15 +304,11 @@ let stats t =
   in
   {
     Protocol.counters =
-      [
+      Daemon.counters t.daemon
+      @ [
         ("queries", Atomic.get t.queries);
-        ("accepted", Atomic.get t.accepted);
         ("served", Atomic.get t.served);
         ("errors", Atomic.get t.errors);
-        ("shed", Atomic.get t.shed);
-        ("shed_shutdown", Atomic.get t.shed_shutdown);
-        ("client_errors", Atomic.get t.client_errors);
-        ("slow_client_disconnects", Atomic.get t.slow_client_disconnects);
         ("breaker_bypassed", Atomic.get t.breaker_bypassed);
         ("breaker_trips", Breaker.trips_total t.breaker);
         ("fallbacks_total", Galatex.Engine.fallback_count engine);
@@ -348,8 +316,6 @@ let stats t =
         ("reload_failures", Atomic.get t.reload_failures);
         ("salvage_events", Atomic.get t.salvage_events);
         ("generation", Option.value (Galatex.Engine.generation engine) ~default:0);
-        ("queue_depth", depth);
-        ("workers", t.cfg.workers);
         ("updates", Atomic.get t.updates);
         ("update_errors", Atomic.get t.update_errors);
         ("compactions", Atomic.get t.compactions);
@@ -375,17 +341,7 @@ let stats t =
         ( "follow_timeout_ms",
           int_of_float (t.cfg.follow_timeout *. 1000.0 +. 0.5) );
       ];
-    breakers =
-      List.map
-        (fun (s : Breaker.snapshot) ->
-          {
-            Protocol.b_strategy = s.Breaker.strategy;
-            b_state = s.Breaker.state;
-            b_consecutive = s.Breaker.consecutive;
-            b_cooldown = s.Breaker.cooldown;
-            b_trips = s.Breaker.trips;
-          })
-        (Breaker.snapshots t.breaker);
+    breakers = Breaker.to_protocol t.breaker;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -502,38 +458,6 @@ let metrics_text t =
 let slowlog_entries t = Obs.Ring.entries t.slowlog
 
 (* ------------------------------------------------------------------ *)
-(* Per-connection serving.                                             *)
-
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* Per-connection I/O bounds: the whole of one framed read or write must
-   finish within [recv_timeout], and bytes must keep moving at least
-   every [idle_timeout] seconds (handshake timeout / byte-rate floor). *)
-let conn_limits t =
-  Netio.within ~idle:t.cfg.idle_timeout t.cfg.recv_timeout
-
-let send_response t fd resp =
-  try Protocol.write_frame ~limits:(conn_limits t) fd (Protocol.encode_response resp)
-  with
-  | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.ESHUTDOWN), _, _) ->
-      (* the client vanished mid-response: its problem, not ours *)
-      Atomic.incr t.client_errors
-  | Xquery.Errors.Error { code = Xquery.Errors.GTLX0014; _ } ->
-      (* the client stopped reading mid-reply: abandoning the write frees
-         the worker a stalled peer would otherwise pin forever *)
-      Atomic.incr t.slow_client_disconnects;
-      Log.debug (fun m -> m "dropping slow client: reply write deadline expired")
-
-let overload_reply t ~code_reason ~depth =
-  let e =
-    Xquery.Errors.make Xquery.Errors.GTLX0009
-      (Printf.sprintf "server overloaded (%s): queue depth %d, retry after %d ms"
-         code_reason depth t.cfg.retry_after_ms)
-  in
-  Protocol.Failure
-    (Protocol.error_of ~retry_after_ms:t.cfg.retry_after_ms ~queue_depth:depth e)
-
-(* ------------------------------------------------------------------ *)
 (* Live updates: WAL append first, then apply, then atomic engine swap.
    All under [update_lock]; readers keep serving the old engine.        *)
 
@@ -591,55 +515,49 @@ let fence t ~what ~epoch =
   end
 
 let handle_update t ops =
-  let draining = locked t (fun () -> t.draining) in
-  if draining then begin
-    Atomic.incr t.shed_shutdown;
-    overload_reply t ~code_reason:"shutting down" ~depth:0
-  end
-  else begin
-    Mutex.lock t.update_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.update_lock)
-      (fun () ->
-        match
-          List.iter validate_op ops;
-          let w = ensure_writer t in
-          let last_seq =
-            List.fold_left
-              (fun _ op -> (Ftindex.Wal.append w op).Ftindex.Wal.seq)
-              (Ftindex.Wal.next_seq w - 1)
-              ops
-          in
-          let engine = current_engine t in
-          let engine' = List.fold_left Galatex.Engine.apply_update engine ops in
-          (w, last_seq, engine')
-        with
-        | exception exn ->
-            Atomic.incr t.update_errors;
-            (* a failure after a partial append leaves records in the log
-               that the serving engine has not applied; re-sync the engine
-               from the directory at the next maintenance tick so memory
-               and log never drift apart *)
-            Atomic.set t.reload_flag true;
-            mirror_wal t;
-            Protocol.Failure (Protocol.error_of (Xquery.Errors.wrap_exn exn))
-        | w, last_seq, engine' ->
-            locked t (fun () -> t.engine <- engine');
-            List.iter (fun _ -> Atomic.incr t.updates) ops;
-            mirror_wal t;
-            (match t.cfg.wal_compact_bytes with
-            | Some limit when Ftindex.Wal.wal_bytes w >= limit ->
-                Atomic.set t.compact_flag true
-            | Some _ | None -> ());
-            Protocol.Update_reply
-              {
-                Protocol.u_generation = Ftindex.Wal.writer_generation w;
-                u_last_seq = last_seq;
-                u_records = Ftindex.Wal.wal_records w;
-                u_bytes = Ftindex.Wal.wal_bytes w;
-                u_epoch = Atomic.get t.epoch_now;
-              })
-  end
+  Daemon.unless_draining t.daemon @@ fun () ->
+  Mutex.lock t.update_lock;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock t.update_lock)
+    (fun () ->
+      match
+        List.iter validate_op ops;
+        let w = ensure_writer t in
+        let last_seq =
+          List.fold_left
+            (fun _ op -> (Ftindex.Wal.append w op).Ftindex.Wal.seq)
+            (Ftindex.Wal.next_seq w - 1)
+            ops
+        in
+        let engine = current_engine t in
+        let engine' = List.fold_left Galatex.Engine.apply_update engine ops in
+        (w, last_seq, engine')
+      with
+      | exception exn ->
+          Atomic.incr t.update_errors;
+          (* a failure after a partial append leaves records in the log
+             that the serving engine has not applied; re-sync the engine
+             from the directory at the next maintenance tick so memory
+             and log never drift apart *)
+          Atomic.set t.reload_flag true;
+          mirror_wal t;
+          Daemon.failure exn
+      | w, last_seq, engine' ->
+          locked t (fun () -> t.engine <- engine');
+          List.iter (fun _ -> Atomic.incr t.updates) ops;
+          mirror_wal t;
+          (match t.cfg.wal_compact_bytes with
+          | Some limit when Ftindex.Wal.wal_bytes w >= limit ->
+              Atomic.set t.compact_flag true
+          | Some _ | None -> ());
+          Protocol.Update_reply
+            {
+              Protocol.u_generation = Ftindex.Wal.writer_generation w;
+              u_last_seq = last_seq;
+              u_records = Ftindex.Wal.wal_records w;
+              u_bytes = Ftindex.Wal.wal_bytes w;
+              u_epoch = Atomic.get t.epoch_now;
+            })
 
 (* Fold the log into a fresh snapshot generation.  On failure the directory
    may already carry the new manifest (making the live log stale), so the
@@ -680,16 +598,11 @@ let do_compact t ~reason =
           Ok (gen, folded))
 
 let handle_compact t =
-  let draining = locked t (fun () -> t.draining) in
-  if draining then begin
-    Atomic.incr t.shed_shutdown;
-    overload_reply t ~code_reason:"shutting down" ~depth:0
-  end
-  else
-    match do_compact t ~reason:"requested" with
-    | Ok (gen, folded) ->
-        Protocol.Compact_reply { Protocol.c_generation = gen; c_folded = folded }
-    | Error e -> Protocol.Failure (Protocol.error_of e)
+  Daemon.unless_draining t.daemon @@ fun () ->
+  match do_compact t ~reason:"requested" with
+  | Ok (gen, folded) ->
+      Protocol.Compact_reply { Protocol.c_generation = gen; c_folded = folded }
+  | Error e -> Protocol.Failure (Protocol.error_of e)
 
 (* ------------------------------------------------------------------ *)
 (* Hot snapshot reload.  A corrupt new snapshot is rejected: the old
@@ -753,7 +666,7 @@ let health t =
   {
     Protocol.h_generation = generation t;
     h_wal_records = Atomic.get t.wal_records_now;
-    h_draining = locked t (fun () -> t.draining);
+    h_draining = Daemon.draining t.daemon;
     (* sequence numbers are dense from 1, so the record count IS the last
        applied sequence number — no extra bookkeeping *)
     h_seq = Atomic.get t.wal_records_now;
@@ -764,18 +677,12 @@ let health t =
   }
 
 let handle_reload t =
-  let draining = locked t (fun () -> t.draining) in
-  if draining then begin
-    Atomic.incr t.shed_shutdown;
-    overload_reply t ~code_reason:"shutting down" ~depth:0
-  end
-  else begin
-    do_reload t ~reason:"requested over the wire";
-    (* the reply is the gate: it proves this daemon finished the swap (or
-       rejected a bad snapshot) and is serving again, and carries the
-       generation so the caller can verify which one *)
-    Protocol.Health_reply (health t)
-  end
+  Daemon.unless_draining t.daemon @@ fun () ->
+  do_reload t ~reason:"requested over the wire";
+  (* the reply is the gate: it proves this daemon finished the swap (or
+     rejected a bad snapshot) and is serving again, and carries the
+     generation so the caller can verify which one *)
+  Protocol.Health_reply (health t)
 
 (* ------------------------------------------------------------------ *)
 (* Failover: Promote seals the log and durably bumps the epoch past
@@ -785,43 +692,37 @@ let handle_reload t =
    Both run under update_lock so no write can interleave with the flip. *)
 
 let handle_promote t ~p_epoch =
-  let draining = locked t (fun () -> t.draining) in
-  if draining then begin
-    Atomic.incr t.shed_shutdown;
-    overload_reply t ~code_reason:"shutting down" ~depth:0
-  end
-  else begin
-    Mutex.lock t.update_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.update_lock)
-      (fun () ->
-        let own = Atomic.get t.epoch_now in
-        let was = role t in
-        let new_epoch = max own p_epoch + 1 in
-        match
-          Ftindex.Store.bump_epoch ~dir:t.cfg.index_dir ~epoch:new_epoch ();
-          Ftindex.Wal.seal ~dir:t.cfg.index_dir ~generation:(generation t)
-            ~epoch:new_epoch ()
-        with
-        | exception exn ->
-            Log.warn (fun m ->
-                m "promotion to epoch %d failed: %s" new_epoch
-                  (Xquery.Errors.to_string (Xquery.Errors.wrap_exn exn)));
-            Protocol.Failure (Protocol.error_of (Xquery.Errors.wrap_exn exn))
-        | () ->
-            (* the new timeline is durable; only now flip the role *)
-            t.writer <- None (* reopen on the sealed log at next update *);
-            Atomic.set t.follow_now None;
-            Atomic.set t.primary_gen_now 0;
-            Atomic.set t.primary_seq_now 0;
-            Atomic.set t.primary_down_streak 0;
-            refresh_manifest_crc t;
-            Atomic.incr t.promotions;
-            Log.info (fun m ->
-                m "promoted to primary at epoch %d (was %s at epoch %d)"
-                  new_epoch was own);
-            Protocol.Health_reply (health t))
-  end
+  Daemon.unless_draining t.daemon @@ fun () ->
+  Mutex.lock t.update_lock;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock t.update_lock)
+    (fun () ->
+      let own = Atomic.get t.epoch_now in
+      let was = role t in
+      let new_epoch = max own p_epoch + 1 in
+      match
+        Ftindex.Store.bump_epoch ~dir:t.cfg.index_dir ~epoch:new_epoch ();
+        Ftindex.Wal.seal ~dir:t.cfg.index_dir ~generation:(generation t)
+          ~epoch:new_epoch ()
+      with
+      | exception exn ->
+          Log.warn (fun m ->
+              m "promotion to epoch %d failed: %s" new_epoch
+                (Xquery.Errors.to_string (Xquery.Errors.wrap_exn exn)));
+          Daemon.failure exn
+      | () ->
+          (* the new timeline is durable; only now flip the role *)
+          t.writer <- None (* reopen on the sealed log at next update *);
+          Atomic.set t.follow_now None;
+          Atomic.set t.primary_gen_now 0;
+          Atomic.set t.primary_seq_now 0;
+          Atomic.set t.primary_down_streak 0;
+          refresh_manifest_crc t;
+          Atomic.incr t.promotions;
+          Log.info (fun m ->
+              m "promoted to primary at epoch %d (was %s at epoch %d)"
+                new_epoch was own);
+          Protocol.Health_reply (health t))
 
 let handle_demote t ~d_epoch ~d_primary =
   let own = Atomic.get t.epoch_now in
@@ -1160,132 +1061,55 @@ let follow_tick t ~primary =
       else if h.Protocol.h_seq > Atomic.get t.wal_records_now then
         catch_up_wal t ~primary
 
-let serve_connection t fd =
-  Fun.protect
-    ~finally:(fun () -> close_quietly fd)
-    (fun () ->
-      t.cfg.on_request ();
-      match Protocol.read_frame ~limits:(conn_limits t) fd with
-      | Error reason ->
-          Atomic.incr t.client_errors;
-          Log.debug (fun m -> m "dropping connection: %s" reason)
-      | exception Xquery.Errors.Error { code = Xquery.Errors.GTLX0014; _ } ->
-          (* request read deadline / idle bound expired: a mute or
-             slow-loris client — it never gets to pin the worker *)
-          Atomic.incr t.client_errors;
-          Log.debug (fun m -> m "dropping connection: request read deadline expired")
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          (* receive timeout: a connected-but-mute client *)
-          Atomic.incr t.client_errors;
-          Log.debug (fun m -> m "dropping connection: receive timeout")
-      | exception Unix.Unix_error (e, _, _) ->
-          Atomic.incr t.client_errors;
-          Log.debug (fun m ->
-              m "dropping connection: %s" (Unix.error_message e))
-      | Ok data ->
-          let resp =
-            match Protocol.decode_request data with
-            | Error reason ->
-                Atomic.incr t.client_errors;
-                Protocol.Failure
-                  {
-                    Protocol.code = "err:XPST0003";
-                    error_class = "static";
-                    message = "malformed request: " ^ reason;
-                    retry_after_ms = None;
-                    queue_depth = None;
-                  }
-            | Ok Protocol.Stats -> Protocol.Stats_reply (stats t)
-            | Ok Protocol.Metrics -> Protocol.Metrics_reply (metrics_text t)
-            | Ok Protocol.Slowlog -> Protocol.Slowlog_reply (slowlog_entries t)
-            | Ok Protocol.Health -> Protocol.Health_reply (health t)
-            | Ok Protocol.Reload -> (
-                try handle_reload t
-                with exn ->
-                  Atomic.incr t.reload_failures;
-                  Protocol.Failure (Protocol.error_of (Xquery.Errors.wrap_exn exn)))
-            | Ok (Protocol.Update _ | Protocol.Compact _)
-              when current_follow t <> None ->
-                (* single-writer across the fleet: a follower's state is
-                   defined by its primary's log, never by direct writes *)
-                Protocol.Failure
-                  (Protocol.error_of
-                     (Xquery.Errors.make Xquery.Errors.FODC0002
-                        "read-only replica: this daemon follows a primary; \
-                         route updates there"))
-            | Ok (Protocol.Fetch_wal { from_seq; epoch }) -> (
-                try handle_fetch_wal t ~from_seq ~epoch
-                with exn ->
-                  Protocol.Failure
-                    (Protocol.error_of (Xquery.Errors.wrap_exn exn)))
-            | Ok (Protocol.Fetch_snapshot { file }) -> (
-                try handle_fetch_snapshot t ~file
-                with exn ->
-                  Protocol.Failure
-                    (Protocol.error_of (Xquery.Errors.wrap_exn exn)))
-            | Ok (Protocol.Promote { p_epoch }) -> (
-                try handle_promote t ~p_epoch
-                with exn ->
-                  Protocol.Failure
-                    (Protocol.error_of (Xquery.Errors.wrap_exn exn)))
-            | Ok (Protocol.Demote { d_epoch; d_primary }) -> (
-                try handle_demote t ~d_epoch ~d_primary
-                with exn ->
-                  Protocol.Failure
-                    (Protocol.error_of (Xquery.Errors.wrap_exn exn)))
-            | Ok (Protocol.Update { ops; epoch }) -> (
-                match fence t ~what:"update" ~epoch with
-                | Some rejection -> rejection
-                | None -> (
-                    try handle_update t ops
-                    with exn ->
-                      Atomic.incr t.update_errors;
-                      Protocol.Failure
-                        (Protocol.error_of (Xquery.Errors.wrap_exn exn))))
-            | Ok (Protocol.Compact { epoch }) -> (
-                match fence t ~what:"compact" ~epoch with
-                | Some rejection -> rejection
-                | None -> (
-                    try handle_compact t
-                    with exn ->
-                      Atomic.incr t.compaction_failures;
-                      Protocol.Failure
-                        (Protocol.error_of (Xquery.Errors.wrap_exn exn))))
-            | Ok (Protocol.Query q) -> (
-                (* run_report's boundary guarantee means only structured
-                   errors escape eval_query; wrap_exn is defense in depth
-                   so a daemon worker can never die on a request *)
-                try eval_query t q
-                with exn ->
-                  Atomic.incr t.errors;
-                  Protocol.Failure (Protocol.error_of (Xquery.Errors.wrap_exn exn)))
-          in
-          send_response t fd resp)
-
-let worker_loop t =
-  let rec loop () =
-    Mutex.lock t.lock;
-    while Queue.is_empty t.queue && not t.draining do
-      Condition.wait t.nonempty t.lock
-    done;
-    if Queue.is_empty t.queue then begin
-      (* draining and nothing left: the pool winds down *)
-      Mutex.unlock t.lock;
-      ()
-    end
-    else begin
-      let fd = Queue.pop t.queue in
-      Mutex.unlock t.lock;
-      (try serve_connection t fd
-       with exn ->
-         (* absolute backstop: a worker never dies *)
-         Atomic.incr t.client_errors;
-         Log.err (fun m ->
-             m "worker absorbed an exception: %s" (Printexc.to_string exn)));
-      loop ()
-    end
-  in
-  loop ()
+(* The request handler the daemon shell calls for every decoded request.
+   An exception escaping it becomes one structured failure at the shell's
+   boundary; the wrappers below exist only to count one against a role
+   counter as well. *)
+let dispatch t = function
+  | Protocol.Stats -> Protocol.Stats_reply (stats t)
+  | Protocol.Metrics -> Protocol.Metrics_reply (metrics_text t)
+  | Protocol.Slowlog -> Protocol.Slowlog_reply (slowlog_entries t)
+  | Protocol.Health -> Protocol.Health_reply (health t)
+  | Protocol.Reload -> (
+      try handle_reload t
+      with exn ->
+        Atomic.incr t.reload_failures;
+        Daemon.failure exn)
+  | Protocol.Update _ | Protocol.Compact _ when current_follow t <> None ->
+      (* single-writer across the fleet: a follower's state is defined by
+         its primary's log, never by direct writes *)
+      Protocol.Failure
+        (Protocol.error_of
+           (Xquery.Errors.make Xquery.Errors.FODC0002
+              "read-only replica: this daemon follows a primary; route \
+               updates there"))
+  | Protocol.Fetch_wal { from_seq; epoch } -> handle_fetch_wal t ~from_seq ~epoch
+  | Protocol.Fetch_snapshot { file } -> handle_fetch_snapshot t ~file
+  | Protocol.Promote { p_epoch } -> handle_promote t ~p_epoch
+  | Protocol.Demote { d_epoch; d_primary } -> handle_demote t ~d_epoch ~d_primary
+  | Protocol.Update { ops; epoch } -> (
+      match fence t ~what:"update" ~epoch with
+      | Some rejection -> rejection
+      | None -> (
+          try handle_update t ops
+          with exn ->
+            Atomic.incr t.update_errors;
+            Daemon.failure exn))
+  | Protocol.Compact { epoch } -> (
+      match fence t ~what:"compact" ~epoch with
+      | Some rejection -> rejection
+      | None -> (
+          try handle_compact t
+          with exn ->
+            Atomic.incr t.compaction_failures;
+            Daemon.failure exn))
+  | Protocol.Query q -> (
+      (* run_report's boundary guarantee means only structured errors
+         escape eval_query; this is defense in depth that still counts *)
+      try eval_query t q
+      with exn ->
+        Atomic.incr t.errors;
+        Daemon.failure exn)
 
 let maybe_reload t =
   if Atomic.exchange t.reload_flag false then do_reload t ~reason:"requested"
@@ -1298,114 +1122,27 @@ let maybe_compact t =
   if Atomic.exchange t.compact_flag false then
     ignore (do_compact t ~reason:"wal threshold")
 
-(* Dedicated maintenance ticker: an idle daemon (zero in-flight requests)
-   still observes reload requests, new snapshot generations, and pending
+(* The maintenance tick: an idle daemon (zero in-flight requests) still
+   observes reload requests, new snapshot generations, and pending
    threshold compactions — none of it on the accept or request path. *)
-let ticker_loop t =
-  while not (Atomic.get t.stop_flag) do
-    (try
-       if not (locked t (fun () -> t.draining)) then begin
-         maybe_reload t;
-         (* the role is runtime state (Promote / Demote flip it), so the
-            ticker re-reads it every pass *)
-         match current_follow t with
-         | Some primary ->
-             (* a follower never self-compacts: its generation may only
-                advance by tracking the primary's *)
-             follow_tick t ~primary
-         | None -> maybe_compact t
-       end
-     with exn ->
-       Log.err (fun m ->
-           m "maintenance absorbed an exception: %s" (Printexc.to_string exn)));
-    Thread.delay t.cfg.tick_interval
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Accept loop: admission control, then the shutdown drain.            *)
-
-let admit t client =
-  (* no SO_RCVTIMEO: per-connection bounds are enforced end-to-end by
-     Netio limits in [serve_connection] — a per-syscall timeout cannot
-     stop a slow-loris peer that dribbles one byte per interval *)
-  Atomic.incr t.accepted;
-  Mutex.lock t.lock;
-  if t.draining then begin
-    Mutex.unlock t.lock;
-    Atomic.incr t.shed_shutdown;
-    send_response t client (overload_reply t ~code_reason:"shutting down" ~depth:0);
-    close_quietly client
-  end
-  else if Queue.length t.queue >= t.cfg.queue_limit then begin
-    let depth = Queue.length t.queue in
-    Mutex.unlock t.lock;
-    Atomic.incr t.shed;
-    send_response t client (overload_reply t ~code_reason:"queue full" ~depth);
-    close_quietly client
-  end
-  else begin
-    Queue.add client t.queue;
-    Condition.signal t.nonempty;
-    Mutex.unlock t.lock
-  end
-
-let shutdown_drain t workers =
-  let stragglers =
-    locked t (fun () ->
-        t.draining <- true;
-        let fds = List.of_seq (Queue.to_seq t.queue) in
-        Queue.clear t.queue;
-        Condition.broadcast t.nonempty;
-        fds)
-  in
-  (* queued-but-unserved connections are answered, not abandoned *)
-  List.iter
-    (fun fd ->
-      Atomic.incr t.shed_shutdown;
-      send_response t fd (overload_reply t ~code_reason:"shutting down" ~depth:0);
-      close_quietly fd)
-    stragglers;
-  List.iter Thread.join workers;
-  (match t.ticker_thread with Some th -> Thread.join th | None -> ());
-  close_quietly t.listen_fd;
-  (try Unix.unlink t.cfg.socket_path with Unix.Unix_error _ | Sys_error _ -> ());
-  locked t (fun () ->
-      t.stopped <- true;
-      Condition.broadcast t.done_cond);
-  Log.info (fun m -> m "shutdown complete")
-
-let accept_loop t workers =
-  let rec loop () =
-    if Atomic.get t.stop_flag then ()
-    else begin
-      (match Unix.select [ t.listen_fd ] [] [] 0.05 with
-      | [ _ ], _, _ -> (
-          match Unix.accept ~cloexec:true t.listen_fd with
-          | client, _ -> admit t client
-          | exception
-              Unix.Unix_error
-                ( ( Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK
-                  | Unix.ECONNABORTED ),
-                  _,
-                  _ ) ->
-              ())
-      | _ -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      loop ()
-    end
-  in
-  (try loop ()
-   with exn ->
-     Log.err (fun m ->
-         m "accept loop absorbed an exception: %s" (Printexc.to_string exn)));
-  shutdown_drain t workers
+let tick t =
+  maybe_reload t;
+  (* the role is runtime state (Promote / Demote flip it), so the ticker
+     re-reads it every pass *)
+  match current_follow t with
+  | Some primary ->
+      (* a follower never self-compacts: its generation may only advance
+         by tracking the primary's *)
+      follow_tick t ~primary
+  | None -> maybe_compact t
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle.                                                          *)
 
 let start cfg =
-  (* a worker writing to a vanished client must get EPIPE, not die *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  (* the follower bootstrap below writes to the primary before the
+     daemon shell exists: a vanished primary must be an EPIPE *)
+  Netio.ignore_sigpipe ();
   (match cfg.follow with
   | Some primary
     when Ftindex.Store.current_generation ~dir:cfg.index_dir = None -> (
@@ -1425,32 +1162,27 @@ let start cfg =
   let engine =
     Galatex.Engine.of_store ~sources:cfg.sources ~dir:cfg.index_dir ()
   in
-  (try
-     if Sys.file_exists cfg.socket_path then Unix.unlink cfg.socket_path
-   with Unix.Unix_error _ | Sys_error _ -> ());
-  let listen_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try
-     Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
-     Unix.listen listen_fd 64
-   with
-  | Unix.Unix_error (e, fn, _) ->
-      close_quietly listen_fd;
-      Xquery.Errors.raise_error Xquery.Errors.FODC0002
-        "cannot serve on %s: %s: %s" cfg.socket_path fn (Unix.error_message e));
+  let daemon =
+    Daemon.create ~role:"server"
+      {
+        Daemon.socket_path = cfg.socket_path;
+        workers = cfg.workers;
+        queue_limit = cfg.queue_limit;
+        retry_after_ms = cfg.retry_after_ms;
+        recv_timeout = cfg.recv_timeout;
+        idle_timeout = cfg.idle_timeout;
+        tick_interval = cfg.tick_interval;
+        on_request = cfg.on_request;
+      }
+  in
   let t =
     {
       cfg;
-      listen_fd;
+      daemon;
       lock = Mutex.create ();
-      nonempty = Condition.create ();
-      queue = Queue.create ();
       engine;
-      draining = false;
       reload_io_now = cfg.reload_io;
-      stopped = false;
-      done_cond = Condition.create ();
       reload_flag = Atomic.make false;
-      stop_flag = Atomic.make false;
       compact_flag = Atomic.make false;
       update_lock = Mutex.create ();
       writer = None;
@@ -1458,13 +1190,8 @@ let start cfg =
       breaker =
         Breaker.create ~threshold:cfg.breaker_threshold
           ~cooldown:cfg.breaker_cooldown;
-      accepted = Atomic.make 0;
       served = Atomic.make 0;
       errors = Atomic.make 0;
-      shed = Atomic.make 0;
-      shed_shutdown = Atomic.make 0;
-      client_errors = Atomic.make 0;
-      slow_client_disconnects = Atomic.make 0;
       breaker_bypassed = Atomic.make 0;
       reloads = Atomic.make 0;
       reload_failures = Atomic.make 0;
@@ -1494,8 +1221,6 @@ let start cfg =
       histograms =
         List.map (fun key -> (key, Obs.Histogram.create ())) strategy_keys;
       slowlog = Obs.Ring.create ~capacity:(max 1 cfg.slowlog_capacity);
-      accept_thread = None;
-      ticker_thread = None;
     }
   in
   (match Galatex.Engine.salvage_report engine with
@@ -1521,30 +1246,16 @@ let start cfg =
        ignore (ensure_writer t);
        mirror_wal t));
   refresh_manifest_crc t;
-  let workers =
-    List.init (max 1 cfg.workers) (fun _ -> Thread.create worker_loop t)
-  in
-  t.ticker_thread <- Some (Thread.create ticker_loop t);
-  t.accept_thread <- Some (Thread.create (fun () -> accept_loop t workers) ());
+  Daemon.run daemon ~handle:(dispatch t) ~tick:(fun () -> tick t);
   Log.info (fun m ->
       m "serving generation %d on %s (%d workers, queue %d)" (generation t)
         cfg.socket_path cfg.workers cfg.queue_limit);
   t
 
 let request_reload t = Atomic.set t.reload_flag true
-let request_shutdown t = Atomic.set t.stop_flag true
-
-let wait t =
-  Mutex.lock t.lock;
-  while not t.stopped do
-    Condition.wait t.done_cond t.lock
-  done;
-  Mutex.unlock t.lock;
-  match t.accept_thread with Some th -> Thread.join th | None -> ()
-
-let stop t =
-  request_shutdown t;
-  wait t
+let request_shutdown t = Daemon.request_shutdown t.daemon
+let wait t = Daemon.wait t.daemon
+let stop t = Daemon.stop t.daemon
 
 let set_reload_io t io = locked t (fun () -> t.reload_io_now <- io)
 

@@ -526,6 +526,76 @@ let test_rolling_reload_over_wire () =
       | Error reason -> Alcotest.failf "reload failed: %s" reason)
 
 (* ------------------------------------------------------------------ *)
+(* Router admission control: with its lone worker blocked mid-scatter
+   on a parked shard, the router's own full queue sheds the next client
+   with GTLX0009 — independent of any shard's queue.                   *)
+
+let test_router_sheds_when_full () =
+  let g = Test_server.gate () in
+  with_dir (fun dir ->
+      Ftindex.Store.save ~dir (Ftindex.Indexer.index_strings sources);
+      let shard_sock = fresh_name "csg" ^ ".sock" in
+      let shard =
+        Server.start
+          {
+            (shard_config ~dir ~sock:shard_sock) with
+            Server.on_request = Test_server.gate_hook g;
+          }
+      in
+      let router_sock = fresh_name "crs" ^ ".sock" in
+      let router =
+        Router.start
+          {
+            (Router.default_config
+               ~shards:[ { Router.primary = shard_sock; replicas = [] } ]
+               ~socket_path:router_sock)
+            with
+            Router.workers = 1;
+            queue_limit = 1;
+            tick_interval = 0.02;
+          }
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Test_server.open_gate g;
+          Router.stop router;
+          Server.stop shard)
+        (fun () ->
+          let ask () =
+            Client.request ~socket_path:router_sock
+              (Protocol.Query
+                 (Protocol.query_request ~limits:short_limits count_query))
+          in
+          let queue_depth () =
+            List.assoc_opt "queue_depth" (Router.stats router).Protocol.counters
+          in
+          let r1 = ref (Error "pending") and r2 = ref (Error "pending") in
+          let t1 = Thread.create (fun () -> r1 := ask ()) () in
+          poll "router worker blocked on the shard" (fun () ->
+              Atomic.get g.Test_server.picked = 1);
+          let t2 = Thread.create (fun () -> r2 := ask ()) () in
+          poll "router queue filled" (fun () -> queue_depth () = Some 1);
+          (match ask () with
+          | Ok (Protocol.Failure e) ->
+              Alcotest.(check string) "shed code" "gtlx:GTLX0009"
+                e.Protocol.code;
+              Alcotest.(check bool) "router overloaded" true
+                (Test_server.contains "router overloaded" e.Protocol.message)
+          | Ok _ -> Alcotest.fail "third client was not shed"
+          | Error reason -> Alcotest.failf "transport error: %s" reason);
+          Alcotest.(check (option int)) "shed counted" (Some 1)
+            (List.assoc_opt "shed" (Router.stats router).Protocol.counters);
+          Test_server.open_gate g;
+          Thread.join t1;
+          Thread.join t2;
+          List.iter
+            (fun r ->
+              Alcotest.(check (list string))
+                "answered after release" [ string_of_int n_docs ]
+                (ok_value "held query" !r).Protocol.items)
+            [ r1; r2 ]))
+
+(* ------------------------------------------------------------------ *)
 (* Chaos: kills, restarts, torn frames, concurrent queries + updates.  *)
 
 let test_chaos () =
@@ -826,6 +896,8 @@ let tests =
     Alcotest.test_case "update routes by hash" `Quick test_update_routes_by_hash;
     Alcotest.test_case "rolling reload over wire" `Quick
       test_rolling_reload_over_wire;
+    Alcotest.test_case "router sheds when full" `Quick
+      test_router_sheds_when_full;
     Alcotest.test_case "chaos" `Quick test_chaos;
     Alcotest.test_case "primary failover" `Quick test_primary_failover;
   ]
