@@ -2161,6 +2161,147 @@ let r9_workload () =
     (fun () -> output_string oc json);
   Harness.row "  wrote BENCH_R9.json\n"
 
+(* ---------------------------------------------------------------- R10 *)
+
+(* Corpus scaling: every index-side cost at 50..2000 documents of the
+   perfbench shape (2 sections x 3 paragraphs x 30 words, 150-word Zipf
+   vocabulary).  Sizes can be narrowed on the command line:
+   [main.exe R10 50 200]. *)
+let r10_default_sizes = [ 50; 200; 500; 1000; 2000 ]
+
+let r10_books ~seed n =
+  Corpus.Generator.books
+    {
+      Corpus.Generator.default_profile with
+      Corpus.Generator.seed;
+      doc_count = n;
+      sections_per_doc = 2;
+      paras_per_section = 3;
+      words_per_para = 30;
+      vocab_size = 150;
+    }
+
+let r10_corpus_scaling () =
+  Harness.section
+    "R10 (performance): corpus scaling — build, load, live update, WAL \
+     replay, queries";
+  let sizes =
+    match List.filter_map int_of_string_opt (Array.to_list Sys.argv) with
+    | [] -> r10_default_sizes
+    | l -> l
+  in
+  let w = Corpus.Vocab.word_for_rank in
+  let phrase_q =
+    Printf.sprintf {|count(collection()//p[. ftcontains "%s %s"])|} (w 0) (w 1)
+  in
+  let topk_q =
+    Printf.sprintf
+      {|for $result at $rank in (for $node in collection()//book let $score := ft:score($node, "%s" && "%s") where $score > 0 order by $score descending return <result score="{$score}"/>) where $rank <= 10 return $result|}
+      (w 2) (w 7)
+  in
+  (* ten fresh documents to add, then remove again *)
+  let updates = 10 in
+  let fresh =
+    List.mapi
+      (fun i (_, d) ->
+        (Printf.sprintf "r10-new-%d.xml" i, Xmlkit.Printer.to_string d))
+      (r10_books ~seed:977 updates)
+  in
+  let adds =
+    List.map (fun (uri, source) -> Ftindex.Wal.Add_doc { uri; source }) fresh
+  in
+  let removes = List.map (fun (uri, _) -> Ftindex.Wal.Remove_doc uri) fresh in
+  Harness.row
+    "  docs   tokens   build_s  load_s  add_ms  remove_ms  replay_ms  \
+     phrase_ms  topk10_ms  topk10_postings\n";
+  let points =
+    List.map
+      (fun n ->
+        let docs = r10_books ~seed:1010 n in
+        let build_ms =
+          Harness.time_ms ~runs:3 (fun () -> Ftindex.Indexer.index_documents docs)
+        in
+        let index = Ftindex.Indexer.index_documents docs in
+        let dir = Printf.sprintf "r10-snapshot-%d" (Unix.getpid ()) in
+        let load_ms =
+          Fun.protect
+            ~finally:(fun () -> rm_rf dir)
+            (fun () ->
+              Ftindex.Store.save ~dir index;
+              Harness.time_ms ~runs:3 (fun () -> Ftindex.Store.load ~dir ()))
+        in
+        let engine = Galatex.Engine.of_index index in
+        let apply e ops = List.fold_left Galatex.Engine.apply_update e ops in
+        let grown = apply engine adds in
+        let add_ms = Harness.time_ms ~runs:3 (fun () -> apply engine adds) in
+        let remove_ms =
+          Harness.time_ms ~runs:3 (fun () -> apply grown removes)
+        in
+        let records =
+          List.mapi (fun i op -> { Ftindex.Wal.seq = i + 1; op }) (adds @ removes)
+        in
+        let replay_ms =
+          Harness.time_ms ~runs:3 (fun () -> Ftindex.Wal.replay index records)
+        in
+        let query q =
+          Harness.time_ms ~runs:3 (fun () ->
+              Galatex.Engine.run engine
+                ~strategy:Galatex.Engine.Native_materialized q)
+        in
+        let phrase_ms = query phrase_q in
+        let topk_ms = query topk_q in
+        let topk_postings =
+          (Galatex.Engine.run_report engine
+             ~strategy:Galatex.Engine.Native_materialized topk_q)
+            .Galatex.Engine.counters.Xquery.Limits.postings_read
+        in
+        let p =
+          ( n,
+            Ftindex.Inverted.total_postings index,
+            build_ms /. 1000.,
+            load_ms /. 1000.,
+            add_ms /. float_of_int updates,
+            remove_ms /. float_of_int updates,
+            replay_ms /. float_of_int (2 * updates),
+            phrase_ms,
+            topk_ms,
+            topk_postings )
+        in
+        let n, tokens, build, load, add, remove, replay, phrase, topk, reads = p in
+        Harness.row
+          "  %5d  %7d  %7.3f  %6.3f  %6.3f  %9.3f  %9.3f  %9.2f  %9.2f  %15d\n%!"
+          n tokens build load add remove replay phrase topk reads;
+        p)
+      sizes
+  in
+  let point (n, tokens, build, load, add, remove, replay, phrase, topk, reads) =
+    Printf.sprintf
+      "    {\"docs\": %d, \"tokens\": %d, \"build_s\": %.4f, \"load_s\": %.4f, \
+       \"apply_add_ms\": %.4f, \"apply_remove_ms\": %.4f, \
+       \"replay_ms_per_record\": %.4f, \"phrase_ms\": %.3f, \
+       \"topk10_ms\": %.3f, \"topk10_postings_read\": %d}"
+      n tokens build load add remove replay phrase topk reads
+  in
+  let json =
+    Printf.sprintf
+      "{\n\
+      \  \"experiment\": \"R10\",\n\
+      \  \"shape\": \"books: 2 sections x 3 paragraphs x 30 words, 150-word \
+       Zipf vocabulary\",\n\
+      \  \"updates\": %d,\n\
+      \  \"phrase_query\": %S,\n\
+      \  \"topk10_query\": %S,\n\
+      \  \"points\": [\n%s\n  ]\n\
+       }\n"
+      updates phrase_q topk_q
+      (String.concat ",\n" (List.map point points))
+  in
+  let oc = open_out "BENCH_R10.json" in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc json);
+  Harness.row "  wrote BENCH_R10.json\n"
+
 (* ---------------------------------------------------------------- main *)
 
 let experiments =
@@ -2172,7 +2313,7 @@ let experiments =
     ("A2", a2_translated_decomposition); ("R1", r1_governance);
     ("R2", r2_cold_start); ("R3", r3_serving); ("R4", r4_live_updates);
     ("R5", r5_cluster); ("R6", r6_replication); ("R7", r7_failover);
-    ("R8", r8_netfaults); ("R9", r9_workload);
+    ("R8", r8_netfaults); ("R9", r9_workload); ("R10", r10_corpus_scaling);
   ]
 
 let () =
@@ -2185,6 +2326,7 @@ let () =
     (fun id ->
       match List.assoc_opt id experiments with
       | Some f -> f ()
+      | None when int_of_string_opt id <> None -> () (* an R10 size *)
       | None -> Printf.eprintf "unknown experiment %s\n" id)
     requested;
   Printf.printf "\nAll experiments done.\n"

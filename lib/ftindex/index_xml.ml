@@ -12,13 +12,13 @@ let token_info_element (p : Posting.t) =
     ~attributes:
       [
         (* the surface form: case-sensitive match options compare against it *)
-        Node.attribute "word" p.Posting.token.Tokenize.Token.word;
-        Node.attribute "doc" p.Posting.doc;
+        Node.attribute "word" (Posting.token p).Tokenize.Token.word;
+        Node.attribute "doc" (Posting.doc p);
         Node.attribute "prefixPos" (Dewey.to_string (Posting.node p));
         Node.attribute "absPos" (string_of_int (Posting.abs_pos p));
         Node.attribute "sentence" (string_of_int (Posting.sentence p));
         Node.attribute "para" (string_of_int (Posting.para p));
-        Node.attribute "score" (Printf.sprintf "%.17g" p.Posting.score);
+        Node.attribute "score" (Printf.sprintf "%.17g" (Posting.score p));
       ]
     []
 

@@ -1,66 +1,17 @@
 (* Off-line document preprocessing (Figure 4, upper left): tokenize each
-   input document, compute per-entry scores, and build the in-memory
-   inverted index. *)
+   input document and build the in-memory inverted index.  Per-entry
+   scores are not computed here: the index applies them when postings are
+   read (see Inverted). *)
 
-let add_document ?config (index : Inverted.t) ~uri root =
-  if List.mem_assoc uri index.Inverted.documents then
-    invalid_arg ("Indexer.add_document: duplicate document uri " ^ uri);
-  let tokens = Tokenize.Segmenter.tokenize_document ?config root in
-  let stats = Stats.add_document index.Inverted.stats ~doc:uri tokens in
-  (* Group tokens by normalized word, preserving position order. *)
-  let by_word = Hashtbl.create 256 in
-  List.iter
-    (fun (tok : Tokenize.Token.t) ->
-      let w = tok.Tokenize.Token.norm in
-      let prev = Option.value ~default:[] (Hashtbl.find_opt by_word w) in
-      Hashtbl.replace by_word w (tok :: prev))
-    tokens;
-  let postings = Hashtbl.copy index.Inverted.postings in
-  Hashtbl.iter
-    (fun w toks ->
-      let score = Stats.score stats ~doc:uri w in
-      let entries =
-        List.rev_map (fun tok -> Posting.make ~score ~doc:uri tok) toks
-      in
-      let prev = Option.value ~default:[] (Hashtbl.find_opt postings w) in
-      (* documents are appended in indexing order; positions within a
-         document are already ascending *)
-      Hashtbl.replace postings w (prev @ entries))
-    by_word;
-  let doc_tokens = Hashtbl.copy index.Inverted.doc_tokens in
-  Hashtbl.replace doc_tokens uri (Array.of_list tokens);
-  {
-    Inverted.documents = index.Inverted.documents @ [ (uri, root) ];
-    postings;
-    doc_tokens;
-    stats;
-    total_postings = index.Inverted.total_postings + List.length tokens;
-  }
+let tokenize ?config root =
+  Array.of_list (Tokenize.Segmenter.tokenize_document ?config root)
 
-(* Scores depend on corpus-wide idf: recompute every posting's score from
-   the index's current statistics.  Score depends only on stats, so applying
-   this after each incremental add/remove yields the same index as applying
-   it once after the last one. *)
-let rescore (index : Inverted.t) =
-  let stats = index.Inverted.stats in
-  let postings = Hashtbl.create (max 16 (Hashtbl.length index.Inverted.postings)) in
-  Hashtbl.iter
-    (fun w entries ->
-      let rescored =
-        List.map
-          (fun (p : Posting.t) ->
-            { p with Posting.score = Stats.score stats ~doc:p.Posting.doc w })
-          entries
-      in
-      Hashtbl.replace postings w rescored)
-    index.Inverted.postings;
-  { index with Inverted.postings }
+let add_document ?config index ~uri root =
+  Inverted.add_document index ~uri root (tokenize ?config root)
 
 let index_documents ?config docs =
-  rescore
-    (List.fold_left
-       (fun idx (uri, root) -> add_document ?config idx ~uri root)
-       (Inverted.empty ()) docs)
+  Inverted.of_documents
+    (List.map (fun (uri, root) -> (uri, root, tokenize ?config root)) docs)
 
 let index_strings ?config docs =
   index_documents ?config

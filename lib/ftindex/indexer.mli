@@ -6,22 +6,18 @@ val add_document :
   uri:string ->
   Xmlkit.Node.t ->
   Inverted.t
-(** Tokenize one sealed document and merge its postings.  Scores reflect the
-    statistics known so far; prefer {!index_documents} for a whole corpus.
+(** Tokenize one sealed document and append it to the index.  Costs
+    O(tokens of the document), whatever the corpus size; the result equals
+    indexing the whole corpus from scratch, scores included (they are
+    computed when postings are read, see {!Inverted}).
     @raise Invalid_argument on duplicate uri. *)
-
-val rescore : Inverted.t -> Inverted.t
-(** Recompute every posting score from the index's current corpus
-    statistics.  After an incremental {!add_document} or
-    [Inverted.remove_document], this restores the invariant that scores
-    reflect corpus-wide idf — making the index equal to one built from
-    scratch over the same documents. *)
 
 val index_documents :
   ?config:Tokenize.Segmenter.config ->
   (string * Xmlkit.Node.t) list ->
   Inverted.t
-(** Index a corpus and compute final (corpus-wide idf) per-entry scores. *)
+(** Index a corpus in one pass: linear in its token count.
+    @raise Invalid_argument on duplicate uri. *)
 
 val index_strings :
   ?config:Tokenize.Segmenter.config -> (string * string) list -> Inverted.t

@@ -4,97 +4,200 @@ open Xmlkit
    word, all of its positions across the indexed documents, plus the distinct
    word list that drives match-option expansion (Section 3.2.3.2).
 
-   Postings for a word are kept sorted by (document, absolute position), so
-   the pipelined operators of Section 4.1 can sort-merge them lazily. *)
+   Everything is a persistent map, so an update builds a new index that
+   shares all it did not touch with the old one, and a reader holding the
+   old one keeps a consistent snapshot.  Documents are keyed by an indexing
+   sequence number: maps over it iterate in indexing order, and a re-added
+   uri takes a fresh number, moving it to the end.
+
+   A word's postings are keyed by document; each (word, document) slice
+   holds that document's positions of the word, in position order, and
+   the document-local score factor.  Section 3.3's score also has a
+   corpus-wide idf factor, which changes with every add or remove; it is
+   applied when postings are read ({!scored}), which is what keeps
+   updates O(document) instead of rescoring the corpus. *)
+
+module SMap = Map.Make (String)
+module IMap = Map.Make (Int)
+
+type slice = {
+  uri : string;
+  positions : Tokenize.Token.t array;
+  tf_part : float;  (** Stats.tf_part of (word, document) *)
+}
+
+type word_postings = slice IMap.t  (** indexing sequence -> slice *)
+
+type doc = {
+  root : Node.t;  (** sealed document root *)
+  tokens : Tokenize.Token.t array;
+      (** the full token stream, in position order; used for node
+          word-extents, window/anchor checks and highlighting *)
+  words : string list;  (** distinct words of the document *)
+}
 
 type t = {
-  documents : (string * Node.t) list;  (** uri -> sealed document root *)
-  postings : (string, Posting.t list) Hashtbl.t;
-  doc_tokens : (string, Tokenize.Token.t array) Hashtbl.t;
-      (** the full token stream of each document, in position order; used for
-          node word-extents, window/anchor checks and highlighting *)
+  docs : (string * doc) IMap.t;  (** indexing sequence -> (uri, document) *)
+  seq_of_uri : int SMap.t;
+  uri_of_tree : string IMap.t;  (** root tree id -> uri *)
+  postings : word_postings SMap.t;
+  word_count : int;
   stats : Stats.t;
   total_postings : int;
+  next_seq : int;
 }
 
 let empty () =
   {
-    documents = [];
-    postings = Hashtbl.create 16;
-    doc_tokens = Hashtbl.create 16;
+    docs = IMap.empty;
+    seq_of_uri = SMap.empty;
+    uri_of_tree = IMap.empty;
+    postings = SMap.empty;
+    word_count = 0;
     stats = Stats.create ();
     total_postings = 0;
+    next_seq = 0;
   }
 
-let documents t = t.documents
 let stats t = t.stats
 let total_postings t = t.total_postings
+let distinct_word_count t = t.word_count
 
-(* Exact postings reclamation: filtering a word's (document, position)-sorted
-   list preserves the order of the surviving entries, empty words leave the
-   distinct-word list, and corpus statistics forget the document — so the
-   result matches an index that never contained it (up to posting scores,
-   which depend on corpus-wide idf; Indexer.rescore restores those). *)
-let remove_document t ~uri =
-  if not (List.mem_assoc uri t.documents) then t
-  else begin
-    let postings = Hashtbl.create (max 16 (Hashtbl.length t.postings)) in
-    let removed = ref 0 in
-    Hashtbl.iter
-      (fun w entries ->
-        let kept, gone =
-          List.partition (fun (p : Posting.t) -> p.Posting.doc <> uri) entries
+let documents t =
+  IMap.fold (fun _ (uri, d) acc -> (uri, d.root) :: acc) t.docs []
+  |> List.rev
+
+let find_doc t uri =
+  Option.map (fun seq -> snd (IMap.find seq t.docs)) (SMap.find_opt uri t.seq_of_uri)
+
+let document_root t uri = Option.map (fun d -> d.root) (find_doc t uri)
+
+let tokens_of_doc t ~doc =
+  match find_doc t doc with Some d -> d.tokens | None -> [||]
+
+let add_document t ~uri root tokens =
+  if SMap.mem uri t.seq_of_uri then
+    invalid_arg ("Inverted.add_document: duplicate document uri " ^ uri);
+  let seq = t.next_seq in
+  let stats = Stats.add_document t.stats ~doc:uri tokens in
+  (* group positions by word; reversed, tokens arrive in position order *)
+  let by_word = Hashtbl.create 256 in
+  Array.iter
+    (fun (tok : Tokenize.Token.t) ->
+      let w = tok.Tokenize.Token.norm in
+      Hashtbl.replace by_word w
+        (tok :: Option.value ~default:[] (Hashtbl.find_opt by_word w)))
+    tokens;
+  let postings, word_count, words =
+    Hashtbl.fold
+      (fun w rev_positions (postings, n, words) ->
+        let slice =
+          {
+            uri;
+            positions = Array.of_list (List.rev rev_positions);
+            tf_part = Stats.tf_part stats ~doc:uri w;
+          }
         in
-        removed := !removed + List.length gone;
-        if kept <> [] then Hashtbl.replace postings w kept)
-      t.postings;
-    let doc_tokens = Hashtbl.copy t.doc_tokens in
-    Hashtbl.remove doc_tokens uri;
-    {
-      documents = List.filter (fun (u, _) -> u <> uri) t.documents;
-      postings;
-      doc_tokens;
-      stats = Stats.remove_document t.stats ~doc:uri;
-      total_postings = t.total_postings - !removed;
-    }
-  end
+        match SMap.find_opt w postings with
+        | None -> (SMap.add w (IMap.singleton seq slice) postings, n + 1, w :: words)
+        | Some wp -> (SMap.add w (IMap.add seq slice wp) postings, n, w :: words))
+      by_word
+      (t.postings, t.word_count, [])
+  in
+  {
+    docs = IMap.add seq (uri, { root; tokens; words }) t.docs;
+    seq_of_uri = SMap.add uri seq t.seq_of_uri;
+    uri_of_tree = IMap.add (Node.tree_id root) uri t.uri_of_tree;
+    postings;
+    word_count;
+    stats;
+    total_postings = t.total_postings + Array.length tokens;
+    next_seq = seq + 1;
+  }
 
-let document_root t uri = List.assoc_opt uri t.documents
+let of_documents docs =
+  List.fold_left
+    (fun t (uri, root, tokens) -> add_document t ~uri root tokens)
+    (empty ()) docs
+
+(* Exact postings reclamation: only the document's own words are touched;
+   a word left without documents leaves the distinct-word list, and corpus
+   statistics forget the document — so the result is an index that never
+   contained it. *)
+let remove_document t ~uri =
+  match SMap.find_opt uri t.seq_of_uri with
+  | None -> t
+  | Some seq ->
+      let _, d = IMap.find seq t.docs in
+      let postings, word_count =
+        List.fold_left
+          (fun (postings, n) w ->
+            let wp = IMap.remove seq (SMap.find w postings) in
+            if IMap.is_empty wp then (SMap.remove w postings, n - 1)
+            else (SMap.add w wp postings, n))
+          (t.postings, t.word_count) d.words
+      in
+      {
+        docs = IMap.remove seq t.docs;
+        seq_of_uri = SMap.remove uri t.seq_of_uri;
+        uri_of_tree = IMap.remove (Node.tree_id d.root) t.uri_of_tree;
+        postings;
+        word_count;
+        stats = Stats.remove_document t.stats ~doc:uri;
+        total_postings = t.total_postings - Array.length d.tokens;
+        next_seq = t.next_seq;
+      }
+
+let word_postings t word =
+  SMap.find_opt (Tokenize.Normalize.casefold word) t.postings
+
+(* A slice's entries, prepended to [tail], scored against the current
+   corpus: the stored document-local factor times the word's idf. *)
+let scored ~idf s tail =
+  let score = Stats.entry_score ~tf_part:s.tf_part ~idf in
+  Array.fold_right
+    (fun tok acc -> Posting.make ~score ~doc:s.uri tok :: acc)
+    s.positions tail
+
+let postings_of_word t w wp =
+  let idf = Stats.idf_norm t.stats w in
+  Seq.fold_left (fun acc (_, s) -> scored ~idf s acc) [] (IMap.to_rev_seq wp)
 
 let postings t word =
-  Option.value ~default:[]
-    (Hashtbl.find_opt t.postings (Tokenize.Normalize.casefold word))
+  let w = Tokenize.Normalize.casefold word in
+  match SMap.find_opt w t.postings with
+  | Some wp -> postings_of_word t w wp
+  | None -> []
 
-let distinct_words t =
-  Hashtbl.fold (fun w _ acc -> w :: acc) t.postings [] |> List.sort compare
+let postings_of_doc t ~doc word =
+  let w = Tokenize.Normalize.casefold word in
+  match (SMap.find_opt w t.postings, SMap.find_opt doc t.seq_of_uri) with
+  | Some wp, Some seq -> (
+      match IMap.find_opt seq wp with
+      | Some s -> scored ~idf:(Stats.idf_norm t.stats w) s []
+      | None -> [])
+  | _ -> []
 
-let distinct_word_count t = Hashtbl.length t.postings
+let distinct_words t = SMap.fold (fun w _ acc -> w :: acc) t.postings [] |> List.rev
 
 (* containsPos (Section 3.2.1): a position is inside a context node when the
    position's Dewey label is contained in the node's and they belong to the
    same document. *)
 let position_in_node t posting ~doc ~node_dewey =
   ignore t;
-  posting.Posting.doc = doc && Dewey.contains node_dewey (Posting.node posting)
+  Posting.doc posting = doc && Dewey.contains node_dewey (Posting.node posting)
 
 let postings_in t ~doc ~node_dewey word =
   List.filter
-    (fun p -> position_in_node t p ~doc ~node_dewey)
-    (postings t word)
+    (fun p -> Dewey.contains node_dewey (Posting.node p))
+    (postings_of_doc t ~doc word)
 
-(* The document a (sealed) node belongs to, recovered from its tree root. *)
-let doc_of_node t node =
-  let root = Node.root node in
-  List.fold_left
-    (fun acc (uri, droot) ->
-      match acc with Some _ -> acc | None -> if Node.equal droot root then Some uri else None)
-    None t.documents
+(* Every node of a sealed tree carries the tree's id, and the index maps
+   each document root's id to its uri. *)
+let doc_of_node t node = IMap.find_opt (Node.tree_id node) t.uri_of_tree
 
 let fold_words f t acc =
-  Hashtbl.fold (fun w ps acc -> f w ps acc) t.postings acc
-
-let tokens_of_doc t ~doc =
-  Option.value ~default:[||] (Hashtbl.find_opt t.doc_tokens doc)
+  SMap.fold (fun w wp acc -> f w (postings_of_word t w wp) acc) t.postings acc
 
 (* The word-position extent of a node: positions of a node's tokens are
    contiguous (pre-order Dewey containment), so the extent is the (first,

@@ -1,7 +1,9 @@
 (* One inverted-list entry: a TokenInfo plus the document it came from and
    the per-entry probabilistic score of Section 3.3 ("the score of an entry
    represents the probability that the entry contains a given word",
-   a float in (0,1], computed from tf/idf by {!Stats}). *)
+   a float in (0,1], computed from tf/idf by {!Stats}).  The index stores
+   no entries: {!Inverted} makes them when a word's postings are read, with
+   the score of the corpus at that moment. *)
 
 type t = { doc : string; token : Tokenize.Token.t; score : float }
 
@@ -10,6 +12,9 @@ let make ?(score = 1.0) ~doc token =
     invalid_arg "Posting.make: score must be in (0,1]";
   { doc; token; score }
 
+let doc p = p.doc
+let token p = p.token
+let score p = p.score
 let word p = p.token.Tokenize.Token.norm
 let abs_pos p = p.token.Tokenize.Token.abs_pos
 let node p = p.token.Tokenize.Token.node

@@ -1,9 +1,17 @@
 (** Inverted-list entries: TokenInfo + source document + per-entry score. *)
 
-type t = { doc : string; token : Tokenize.Token.t; score : float }
+type t
 
 val make : ?score:float -> doc:string -> Tokenize.Token.t -> t
 (** @raise Invalid_argument unless [score] is in (0,1] (default 1.0). *)
+
+val doc : t -> string
+(** Uri of the document the entry belongs to. *)
+
+val token : t -> Tokenize.Token.t
+
+val score : t -> float
+(** The entry's probabilistic score in (0,1] (paper Section 3.3). *)
 
 val word : t -> string
 (** Case-folded word, the index key. *)

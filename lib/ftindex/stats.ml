@@ -9,82 +9,79 @@
 
    Both factors lie in (0,1], so the product does too, and the score grows
    with term frequency and rarity — enough for the probabilistic algebra's
-   requirements to hold downstream. *)
+   requirements to hold downstream.
 
-type doc_stats = { token_count : int; max_tf : int }
+   The first factor depends on one document only; the second on the whole
+   corpus.  The index stores the first with each (word, document) slice and
+   multiplies by the second when postings are read, so a corpus change
+   never rewrites stored scores. *)
+
+module SMap = Map.Make (String)
+
+type doc_stats = {
+  token_count : int;
+  max_tf : int;
+  tf : int SMap.t;  (** word -> occurrences in this document *)
+}
 
 type t = {
   doc_count : int;
-  docs : (string, doc_stats) Hashtbl.t;
-  df : (string, int) Hashtbl.t;  (** word -> number of documents containing it *)
-  tf : (string * string, int) Hashtbl.t;  (** (doc, word) -> occurrences *)
+  docs : doc_stats SMap.t;
+  df : int SMap.t;  (** word -> number of documents containing it *)
 }
 
-let create () =
-  { doc_count = 0; docs = Hashtbl.create 16; df = Hashtbl.create 256;
-    tf = Hashtbl.create 1024 }
+let create () = { doc_count = 0; docs = SMap.empty; df = SMap.empty }
 
 let add_document t ~doc tokens =
-  if Hashtbl.mem t.docs doc then
+  if SMap.mem doc t.docs then
     invalid_arg ("Stats.add_document: duplicate document " ^ doc);
-  (* functional update: callers hold on to earlier snapshots *)
-  let t =
-    {
-      doc_count = t.doc_count;
-      docs = Hashtbl.copy t.docs;
-      df = Hashtbl.copy t.df;
-      tf = Hashtbl.copy t.tf;
-    }
+  let tf =
+    Array.fold_left
+      (fun m (tok : Tokenize.Token.t) ->
+        SMap.update tok.Tokenize.Token.norm
+          (function None -> Some 1 | Some c -> Some (c + 1))
+          m)
+      SMap.empty tokens
   in
-  let counts = Hashtbl.create 64 in
-  List.iter
-    (fun (tok : Tokenize.Token.t) ->
-      let w = tok.Tokenize.Token.norm in
-      Hashtbl.replace counts w (1 + Option.value ~default:0 (Hashtbl.find_opt counts w)))
-    tokens;
-  let max_tf = Hashtbl.fold (fun _ c m -> max c m) counts 1 in
-  Hashtbl.replace t.docs doc { token_count = List.length tokens; max_tf };
-  Hashtbl.iter
-    (fun w c ->
-      Hashtbl.replace t.tf (doc, w) c;
-      Hashtbl.replace t.df w (1 + Option.value ~default:0 (Hashtbl.find_opt t.df w)))
-    counts;
-  { t with doc_count = t.doc_count + 1 }
+  let max_tf = SMap.fold (fun _ c m -> max c m) tf 1 in
+  {
+    doc_count = t.doc_count + 1;
+    docs =
+      SMap.add doc { token_count = Array.length tokens; max_tf; tf } t.docs;
+    df =
+      SMap.fold
+        (fun w _ df ->
+          SMap.update w (function None -> Some 1 | Some n -> Some (n + 1)) df)
+        tf t.df;
+  }
 
 let remove_document t ~doc =
-  if not (Hashtbl.mem t.docs doc) then t
-  else begin
-    let t =
+  match SMap.find_opt doc t.docs with
+  | None -> t
+  | Some d ->
       {
         doc_count = t.doc_count - 1;
-        docs = Hashtbl.copy t.docs;
-        df = Hashtbl.copy t.df;
-        tf = Hashtbl.copy t.tf;
-      }
-    in
-    Hashtbl.remove t.docs doc;
-    let words =
-      Hashtbl.fold (fun (d, w) _ acc -> if d = doc then w :: acc else acc) t.tf []
-    in
-    List.iter
-      (fun w ->
-        Hashtbl.remove t.tf (doc, w);
+        docs = SMap.remove doc t.docs;
         (* drop zero entries so the tables match a from-scratch build *)
-        match Hashtbl.find_opt t.df w with
-        | Some n when n > 1 -> Hashtbl.replace t.df w (n - 1)
-        | Some _ | None -> Hashtbl.remove t.df w)
-      words;
-    t
-  end
+        df =
+          SMap.fold
+            (fun w _ df ->
+              SMap.update w
+                (function Some n when n > 1 -> Some (n - 1) | _ -> None)
+                df)
+            d.tf t.df;
+      }
 
 let doc_count t = t.doc_count
-let document_frequency t w = Option.value ~default:0 (Hashtbl.find_opt t.df w)
+let document_frequency t w = Option.value ~default:0 (SMap.find_opt w t.df)
 
 let term_frequency t ~doc w =
-  Option.value ~default:0 (Hashtbl.find_opt t.tf (doc, w))
+  match SMap.find_opt doc t.docs with
+  | Some d -> Option.value ~default:0 (SMap.find_opt w d.tf)
+  | None -> 0
 
 let doc_token_count t ~doc =
-  match Hashtbl.find_opt t.docs doc with
+  match SMap.find_opt doc t.docs with
   | Some s -> s.token_count
   | None -> 0
 
@@ -93,14 +90,16 @@ let idf_norm t w =
   let df = float_of_int (max 1 (document_frequency t w)) in
   log (1.0 +. (n /. df)) /. log (1.0 +. n)
 
-let score t ~doc w =
-  match Hashtbl.find_opt t.docs doc with
+let tf_part t ~doc w =
+  match SMap.find_opt doc t.docs with
   | None -> 1.0
-  | Some { max_tf; _ } ->
-      let tf = float_of_int (term_frequency t ~doc w) in
-      if tf = 0.0 then 1.0
-      else
-        let tf_part = 0.5 +. (0.5 *. tf /. float_of_int (max 1 max_tf)) in
-        let s = tf_part *. idf_norm t w in
-        (* clamp away from 0 for pathological corpora; scores must be (0,1] *)
-        if s <= 0.0 then epsilon_float else if s > 1.0 then 1.0 else s
+  | Some { max_tf; tf; _ } -> (
+      match SMap.find_opt w tf with
+      | None -> 1.0
+      | Some tf ->
+          0.5 +. (0.5 *. float_of_int tf /. float_of_int (max 1 max_tf)))
+
+let entry_score ~tf_part ~idf =
+  let s = tf_part *. idf in
+  (* clamp away from 0 for pathological corpora; scores must be (0,1] *)
+  if s <= 0.0 then epsilon_float else if s > 1.0 then 1.0 else s

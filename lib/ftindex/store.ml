@@ -531,8 +531,7 @@ let gen_of_filename name =
   else None
 
 let sorted_words_with_postings index =
-  Inverted.fold_words (fun w ps acc -> (w, ps) :: acc) index []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  List.rev (Inverted.fold_words (fun w ps acc -> (w, ps) :: acc) index [])
 
 (* Index of a posting's token inside its document's token stream: streams
    are in strictly increasing absolute-position order, so binary search. *)
@@ -649,8 +648,8 @@ let save ?(io = Io.real ()) ?(config = Tokenize.Segmenter.default_config)
         let refs =
           List.map
             (fun (p : Posting.t) ->
-              let di = Hashtbl.find doc_index p.Posting.doc in
-              (di, token_index doc_tokens.(di) p, p.Posting.score))
+              let di = Hashtbl.find doc_index (Posting.doc p) in
+              (di, token_index doc_tokens.(di) p, Posting.score p))
             postings
         in
         let rec place = function
@@ -870,20 +869,6 @@ let bump_epoch ?(io = Io.real ()) ~dir ~epoch () =
               "epoch bump in %s failed: %s: %s" dir fn (Unix.error_message e)
       end
 
-(* Rebuild one word's postings from the (intact) token streams — exactly
-   the Indexer's computation: documents in indexing order, positions in
-   stream order, scores from the corpus statistics. *)
-let rebuild_word stats docs_tokens word =
-  List.concat_map
-    (fun (uri, tokens) ->
-      let score = lazy (Stats.score stats ~doc:uri word) in
-      Array.to_list tokens
-      |> List.filter_map (fun (t : Tokenize.Token.t) ->
-             if t.Tokenize.Token.norm = word then
-               Some (Posting.make ~score:(Lazy.force score) ~doc:uri t)
-             else None))
-    docs_tokens
-
 let load_manifest ~io ~governor ~sources ~dir m =
   let tick () = Option.iter Xquery.Limits.io_tick governor in
   let damaged = ref [] in
@@ -937,22 +922,28 @@ let load_manifest ~io ~governor ~sources ~dir m =
               Printf.sprintf "%s [%s]: %s" file uri reason)
             !fatal));
   let reindexed = List.rev !reindexed in
-  (* -- corpus statistics, rebuilt from the token streams ------------ *)
-  let stats =
-    List.fold_left
-      (fun acc (uri, _, tokens) ->
-        Stats.add_document acc ~doc:uri (Array.to_list tokens))
-      (Stats.create ()) docs
-  in
-  let docs_tokens = List.map (fun (uri, _, tokens) -> (uri, tokens)) docs in
-  let doc_arr = Array.of_list docs_tokens in
-  let total_tokens =
-    List.fold_left (fun acc (_, t) -> acc + Array.length t) 0 docs_tokens
-  in
-  (* -- posting segments --------------------------------------------- *)
+  (* -- the index, from the token streams ----------------------------- *)
+  let index = Inverted.of_documents docs in
+  let doc_arr = Array.of_list docs in
+  (* -- posting segments: verified against the token streams ----------- *)
+  (* Postings and their scores are fully derivable from the token
+     streams, so the index never reads them back; a posting segment is
+     a checksummed witness.  Its damage is reported, and its words count
+     as rebuilt. *)
   let damaged_ranges = ref [] in
-  let chunks = Hashtbl.create 256 (* word -> rev (doc_idx,tok_idx,score) list list *) in
-  let chunk_order = ref [] (* rev word order of first appearance *) in
+  let inconsistent = ref false in
+  let seen_words = Hashtbl.create 256 in
+  let seen_postings = ref 0 in
+  let check_ref word (doc_idx, tok_idx, _score) =
+    if doc_idx < 0 || doc_idx >= Array.length doc_arr then inconsistent := true
+    else
+      let _, _, tokens = doc_arr.(doc_idx) in
+      if
+        tok_idx < 0
+        || tok_idx >= Array.length tokens
+        || tokens.(tok_idx).Tokenize.Token.norm <> word
+      then inconsistent := true
+  in
   List.iter
     (fun ms ->
       tick ();
@@ -965,112 +956,42 @@ let load_manifest ~io ~governor ~sources ~dir m =
       | Seg_ok entries ->
           List.iter
             (fun (word, chunk) ->
-              match Hashtbl.find_opt chunks word with
-              | Some prev -> Hashtbl.replace chunks word (chunk :: prev)
-              | None ->
-                  Hashtbl.replace chunks word [ chunk ];
-                  chunk_order := word :: !chunk_order)
+              Hashtbl.replace seen_words word ();
+              seen_postings := !seen_postings + List.length chunk;
+              List.iter (check_ref word) chunk)
             entries)
     m.msegs;
   let in_damaged_range w =
     List.exists (fun (a, z) -> a <= w && w <= z) !damaged_ranges
   in
-  (* distinct words of the corpus, derivable from token streams alone *)
-  let corpus_words () =
-    let set = Hashtbl.create 256 in
-    List.iter
-      (fun (_, tokens) ->
-        Array.iter
-          (fun (t : Tokenize.Token.t) ->
-            Hashtbl.replace set t.Tokenize.Token.norm ())
-          tokens)
-      docs_tokens;
-    set
+  let words = Inverted.distinct_words index in
+  (* defense in depth: the segments must agree with the manifest's totals
+     and the manifest with the token streams (re-indexed documents aside);
+     if not, the snapshot lies somewhere the CRCs did not cover *)
+  let lying =
+    reindexed = []
+    && (!inconsistent
+       || m.m_total <> Inverted.total_postings index
+       || m.m_words <> Inverted.distinct_word_count index
+       || !damaged_ranges = []
+          && (!seen_postings <> m.m_total
+             || Hashtbl.length seen_words <> m.m_words))
   in
-  let postings = Hashtbl.create 256 in
-  let rebuilt_words = ref 0 in
-  let rebuild w =
-    incr rebuilt_words;
-    Hashtbl.replace postings w (rebuild_word stats docs_tokens w)
-  in
-  let full_rebuild () =
-    Hashtbl.reset postings;
-    rebuilt_words := 0;
-    Hashtbl.iter (fun w () -> rebuild w) (corpus_words ())
-  in
-  if reindexed <> [] then
+  if lying then
+    add_damage manifest_name
+      "postings disagree with manifest totals; rebuilt from token streams"
+      (Word_range ("", "\xff"));
+  let rebuilt_words =
     (* a re-indexed document invalidates every (doc_idx, token_idx)
-       reference into it; token streams are now authoritative *)
-    full_rebuild ()
-  else begin
-    let inconsistent = ref false in
-    List.iter
-      (fun w ->
-        tick ();
-        if in_damaged_range w then rebuild w
-        else begin
-          let entry_of (doc_idx, tok_idx, score) =
-            if doc_idx < 0 || doc_idx >= Array.length doc_arr then
-              corrupt "document index out of range";
-            let uri, tokens = doc_arr.(doc_idx) in
-            if tok_idx < 0 || tok_idx >= Array.length tokens then
-              corrupt "token index out of range";
-            let tok = tokens.(tok_idx) in
-            if tok.Tokenize.Token.norm <> w then
-              corrupt "posting references a token of a different word";
-            Posting.make ~score ~doc:uri tok
-          in
-          match
-            List.concat_map (List.map entry_of)
-              (List.rev (Hashtbl.find chunks w))
-          with
-          | ps -> Hashtbl.replace postings w ps
-          | exception (Corrupt _ | Invalid_argument _) ->
-              (* checksummed data should never get here; treat it as
-                 damage and fall back to the token streams *)
-              inconsistent := true
-        end)
-      (List.rev !chunk_order);
-    (* words living entirely inside damaged segments never appeared in
-       any intact chunk: recover them from the token streams *)
-    if !damaged_ranges <> [] then
-      Hashtbl.iter
-        (fun w () ->
-          if (not (Hashtbl.mem postings w)) && in_damaged_range w then
-            rebuild w)
-        (corpus_words ());
-    (* defense in depth: the reassembled index must agree with the
-       manifest's totals; if not, the snapshot lies somewhere the CRCs
-       did not cover — rebuild everything from the token streams *)
-    let total = Hashtbl.fold (fun _ ps acc -> acc + List.length ps) postings 0 in
-    if
-      !inconsistent
-      || total <> m.m_total
-      || Hashtbl.length postings <> m.m_words
-      || total <> total_tokens
-    then begin
-      add_damage manifest_name
-        "postings disagree with manifest totals; rebuilt from token streams"
-        (Word_range ("", "\xff"));
-      full_rebuild ()
-    end
-  end;
-  let doc_tokens_tbl = Hashtbl.create 16 in
-  List.iter (fun (uri, tokens) -> Hashtbl.replace doc_tokens_tbl uri tokens) docs_tokens;
-  let index =
-    {
-      Inverted.documents = List.map (fun (uri, root, _) -> (uri, root)) docs;
-      postings;
-      doc_tokens = doc_tokens_tbl;
-      stats;
-      total_postings = total_tokens;
-    }
+       reference into it, and a lying snapshot every reference *)
+    if reindexed <> [] || lying then List.length words
+    else List.length (List.filter in_damaged_range words)
   in
   {
     index;
     config = m.m_config;
     report =
-      { damaged = List.rev !damaged; reindexed; rebuilt_words = !rebuilt_words };
+      { damaged = List.rev !damaged; reindexed; rebuilt_words };
     generation = m.gen;
     epoch = m.m_epoch;
   }

@@ -250,10 +250,9 @@ let read_log ?(io = Store.Io.real ()) ~dir () =
 let apply ?config index op =
   match op with
   | Add_doc { uri; source } ->
-      let index = Inverted.remove_document index ~uri in
       let root = Xmlkit.Parser.parse_document ~uri source in
-      Indexer.rescore (Indexer.add_document ?config index ~uri root)
-  | Remove_doc uri -> Indexer.rescore (Inverted.remove_document index ~uri)
+      Indexer.add_document ?config (Inverted.remove_document index ~uri) ~uri root
+  | Remove_doc uri -> Inverted.remove_document index ~uri
 
 let replay ?config index records =
   List.fold_left

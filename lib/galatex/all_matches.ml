@@ -46,7 +46,7 @@ let total_entries t =
 (* Two matches are solution-equivalent when they assert the same include and
    exclude positions (ignoring scores and query positions). *)
 let entry_key e =
-  ( e.posting.Ftindex.Posting.doc,
+  ( Ftindex.Posting.doc e.posting,
     Ftindex.Posting.abs_pos e.posting,
     Ftindex.Posting.word e.posting )
 

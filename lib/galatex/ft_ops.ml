@@ -32,30 +32,37 @@ let clamp_score s = if s <= 0.0 then epsilon_float else if s > 1.0 then 1.0 else
    paper's getTokenInfo, positions outside every context node are dropped at
    the source — they could never satisfy an FTContains/ft:score over that
    context, so this is semantics-preserving and avoids materializing
-   irrelevant matches. *)
-let in_context within (p : Ftindex.Posting.t) =
-  match within with
-  | None -> true
-  | Some nodes ->
-      List.exists
-        (fun (doc, dewey) ->
-          p.Ftindex.Posting.doc = doc
-          && Xmlkit.Dewey.contains dewey (Ftindex.Posting.node p))
-        nodes
-
+   irrelevant matches.  The index is keyed by document, so with a context
+   only the context documents' postings are fetched at all. *)
 let posting_entries ?g ?within env expansion =
   let index = Env.index env in
-  let all =
-    List.concat_map (fun key -> Ftindex.Inverted.postings index key) expansion.Match_options.keys
+  let keys = expansion.Match_options.keys in
+  let pulled, in_context =
+    match within with
+    | None -> (List.concat_map (Ftindex.Inverted.postings index) keys, fun _ -> true)
+    | Some nodes ->
+        let by_doc = Hashtbl.create 8 in
+        List.iter
+          (fun (doc, dewey) ->
+            Hashtbl.replace by_doc doc
+              (dewey :: Option.value ~default:[] (Hashtbl.find_opt by_doc doc)))
+          nodes;
+        ( Hashtbl.fold
+            (fun doc _ acc ->
+              List.concat_map (Ftindex.Inverted.postings_of_doc index ~doc) keys
+              @ acc)
+            by_doc [],
+          fun p ->
+            List.exists
+              (fun dewey -> Xmlkit.Dewey.contains dewey (Ftindex.Posting.node p))
+              (Hashtbl.find by_doc (Ftindex.Posting.doc p)) )
   in
   (* the observability hook: every inverted-list entry this leaf pulled,
      counted before context/option filtering — the paper's IO-side cost *)
   (match g with
-  | Some g -> Xquery.Limits.count_postings g (List.length all)
+  | Some g -> Xquery.Limits.count_postings g (List.length pulled)
   | None -> ());
-  List.filter
-    (fun p -> expansion.Match_options.accept p && in_context within p)
-    all
+  List.filter (fun p -> expansion.Match_options.accept p && in_context p) pulled
   |> List.sort Ftindex.Posting.compare_pos
 
 (* Occurrences of a phrase: tokens must appear consecutively; tokens that
@@ -85,7 +92,7 @@ let phrase_occurrences ?g ?within env resolved tokens =
             let tbl = Hashtbl.create 64 in
             List.iter
               (fun p ->
-                Hashtbl.replace tbl (p.Ftindex.Posting.doc, Ftindex.Posting.abs_pos p) p)
+                Hashtbl.replace tbl (Ftindex.Posting.doc p, Ftindex.Posting.abs_pos p) p)
               (posting_entries ?g ?within env e);
             (gap, tbl))
           rest
@@ -101,7 +108,7 @@ let phrase_occurrences ?g ?within env resolved tokens =
                   if d > gap + 1 then None
                   else
                     match
-                      Hashtbl.find_opt tbl (p0.Ftindex.Posting.doc, prev_pos + d)
+                      Hashtbl.find_opt tbl (Ftindex.Posting.doc p0, prev_pos + d)
                     with
                     | Some p -> Some p
                     | None -> try_delta (d + 1)
@@ -118,7 +125,7 @@ let phrase_occurrences ?g ?within env resolved tokens =
 let match_of_postings ~query_pos ~weight postings =
   let includes = List.map (fun p -> entry ~query_pos p) postings in
   let base =
-    List.fold_left (fun acc p -> acc *. p.Ftindex.Posting.score) 1.0 postings
+    List.fold_left (fun acc p -> acc *. Ftindex.Posting.score p) 1.0 postings
   in
   let score =
     match weight with None -> base | Some w -> clamp_score (base *. w)
@@ -199,7 +206,7 @@ let ft_mild_not a b =
       List.iter
         (fun e ->
           Hashtbl.replace b_positions
-            (e.posting.Ftindex.Posting.doc, Ftindex.Posting.abs_pos e.posting)
+            (Ftindex.Posting.doc e.posting, Ftindex.Posting.abs_pos e.posting)
             ())
         m.includes)
     b.matches;
@@ -212,7 +219,7 @@ let ft_mild_not a b =
             (List.exists
                (fun e ->
                  Hashtbl.mem b_positions
-                   ( e.posting.Ftindex.Posting.doc,
+                   ( Ftindex.Posting.doc e.posting,
                      Ftindex.Posting.abs_pos e.posting ))
                m.includes))
         a.matches;
@@ -231,7 +238,7 @@ let same_doc entries =
   | [] -> true
   | e :: rest ->
       List.for_all
-        (fun e' -> e'.posting.Ftindex.Posting.doc = e.posting.Ftindex.Posting.doc)
+        (fun e' -> Ftindex.Posting.doc e'.posting = Ftindex.Posting.doc e.posting)
         rest
 
 (* FTOrdered: include positions must appear in the order of the search words
@@ -296,7 +303,7 @@ let words_between c ~doc lo hi =
 let word_span c ~doc lo hi =
   if lo = hi then 1 else 2 + words_between c ~doc (min lo hi) (max lo hi)
 
-let entry_doc e = e.posting.Ftindex.Posting.doc
+let entry_doc e = Ftindex.Posting.doc e.posting
 
 (* Distance between two adjacent positions: counted words in between (unit
    words), or difference of sentence/paragraph ordinals. *)
@@ -539,7 +546,7 @@ let ft_times range a =
       match m.includes with
       | [] -> ()
       | e :: _ ->
-          let doc = e.posting.Ftindex.Posting.doc in
+          let doc = Ftindex.Posting.doc e.posting in
           let prev = Option.value ~default:[] (Hashtbl.find_opt by_doc doc) in
           Hashtbl.replace by_doc doc (m :: prev))
     a.matches;

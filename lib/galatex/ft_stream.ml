@@ -123,7 +123,7 @@ let ft_mild_not a b =
       List.iter
         (fun (e : All_matches.entry) ->
           Hashtbl.replace b_positions
-            ( e.All_matches.posting.Ftindex.Posting.doc,
+            ( Ftindex.Posting.doc e.All_matches.posting,
               Ftindex.Posting.abs_pos e.All_matches.posting )
             ())
         m.All_matches.includes)
@@ -137,7 +137,7 @@ let ft_mild_not a b =
             (List.exists
                (fun (e : All_matches.entry) ->
                  Hashtbl.mem b_positions
-                   ( e.All_matches.posting.Ftindex.Posting.doc,
+                   ( Ftindex.Posting.doc e.All_matches.posting,
                      Ftindex.Posting.abs_pos e.All_matches.posting ))
                m.All_matches.includes))
         a.seq;
@@ -290,7 +290,7 @@ let matching_nodes_marked ?(use_marking = true) env nodes s =
             match m.All_matches.includes with
             | [] -> None
             | e :: _ ->
-                let doc = e.All_matches.posting.Ftindex.Posting.doc in
+                let doc = Ftindex.Posting.doc e.All_matches.posting in
                 Option.map
                   (fun d -> (doc, d))
                   (Xmlkit.Dewey.lca_all

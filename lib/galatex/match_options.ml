@@ -128,15 +128,15 @@ let surface_predicate resolved term =
       else
         let expect = fold_diac resolved.diacritics_sensitive term in
         fun (p : Ftindex.Posting.t) ->
-          fold_diac resolved.diacritics_sensitive p.Ftindex.Posting.token.Tokenize.Token.word
+          fold_diac resolved.diacritics_sensitive (Ftindex.Posting.token p).Tokenize.Token.word
           = expect
   | Case_lower ->
       fun (p : Ftindex.Posting.t) ->
-        let surface = p.Ftindex.Posting.token.Tokenize.Token.word in
+        let surface = (Ftindex.Posting.token p).Tokenize.Token.word in
         surface = Tokenize.Normalize.casefold surface
   | Case_upper ->
       fun (p : Ftindex.Posting.t) ->
-        let surface = p.Ftindex.Posting.token.Tokenize.Token.word in
+        let surface = (Ftindex.Posting.token p).Tokenize.Token.word in
         surface = String.uppercase_ascii surface
 
 let thesaurus_terms env resolved term =

@@ -87,7 +87,7 @@ let top_k_pruned env nodes am k =
           let prev = Option.value ~default:[] (Hashtbl.find_opt by_doc "") in
           Hashtbl.replace by_doc "" (m :: prev)
       | e :: _ ->
-          let doc = e.All_matches.posting.Ftindex.Posting.doc in
+          let doc = Ftindex.Posting.doc e.All_matches.posting in
           let prev = Option.value ~default:[] (Hashtbl.find_opt by_doc doc) in
           Hashtbl.replace by_doc doc (m :: prev))
     am.All_matches.matches;

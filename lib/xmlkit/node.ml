@@ -24,7 +24,11 @@ and kind =
   | Comment of string
   | Pi of { target : string; pcontent : string }
 
-let next_tree_id = ref 0
+(* Atomic: documents are parsed and sealed on several threads at once (a
+   query constructing a tree while an update parses its XML), and the
+   index resolves a node's document by its tree id, so two trees must
+   never draw the same id. *)
+let next_tree_id = Atomic.make 0
 
 let unsealed kind =
   { parent = None; tree_id = -1; order = -1; dewey = Dewey.root; kind }
@@ -58,8 +62,7 @@ let name n =
   | Document _ | Text _ | Comment _ -> None
 
 let seal root =
-  incr next_tree_id;
-  let tree_id = !next_tree_id in
+  let tree_id = 1 + Atomic.fetch_and_add next_tree_id 1 in
   let counter = ref 0 in
   let stamp node parent dewey =
     node.parent <- parent;
@@ -93,6 +96,7 @@ let compare_order a b =
   else compare a.order b.order
 
 let equal a b = a == b
+let tree_id n = n.tree_id
 let dewey n = n.dewey
 
 let rec string_value n =

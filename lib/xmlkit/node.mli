@@ -57,6 +57,10 @@ val compare_order : t -> t -> int
 val equal : t -> t -> bool
 (** Physical node identity. *)
 
+val tree_id : t -> int
+(** The id {!seal} stamped on every node of this node's tree: unique per
+    sealed tree across all threads; negative for an unsealed node. *)
+
 val dewey : t -> Dewey.t
 
 val find_by_dewey : t -> Dewey.t -> t option

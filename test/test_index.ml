@@ -17,7 +17,7 @@ let test_postings () =
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
     "alpha (doc, pos) sorted"
     [ ("d1.xml", 1); ("d1.xml", 4); ("d2.xml", 4) ]
-    (List.map (fun p -> (p.Posting.doc, Posting.abs_pos p)) alpha);
+    (List.map (fun p -> (Posting.doc p, Posting.abs_pos p)) alpha);
   check Alcotest.int "missing word" 0 (List.length (Inverted.postings idx "zeta"));
   check Alcotest.int "case folded lookup" 3
     (List.length (Inverted.postings idx "ALPHA"))
@@ -100,8 +100,8 @@ let test_scores_in_unit_interval () =
     (fun w ps () ->
       List.iter
         (fun p ->
-          if not (p.Posting.score > 0.0 && p.Posting.score <= 1.0) then
-            Alcotest.failf "score of %s out of (0,1]: %f" w p.Posting.score)
+          if not (Posting.score p > 0.0 && Posting.score p <= 1.0) then
+            Alcotest.failf "score of %s out of (0,1]: %f" w (Posting.score p))
         ps)
     idx ()
 
@@ -124,14 +124,14 @@ let test_inverted_list_round_trip () =
   check Alcotest.int "entries" (List.length original) (List.length postings);
   List.iter2
     (fun a b ->
-      check Alcotest.string "doc" a.Posting.doc b.Posting.doc;
+      check Alcotest.string "doc" (Posting.doc a) (Posting.doc b);
       check Alcotest.int "pos" (Posting.abs_pos a) (Posting.abs_pos b);
       check Alcotest.int "sentence" (Posting.sentence a) (Posting.sentence b);
       check Alcotest.int "para" (Posting.para a) (Posting.para b);
       check Alcotest.string "dewey"
         (Xmlkit.Dewey.to_string (Posting.node a))
         (Xmlkit.Dewey.to_string (Posting.node b));
-      check (Alcotest.float 1e-6) "score" a.Posting.score b.Posting.score)
+      check (Alcotest.float 1e-6) "score" (Posting.score a) (Posting.score b))
     original postings
 
 let test_distinct_words_document () =
@@ -174,7 +174,7 @@ let prop_extent_consistent =
           && List.for_all
                (fun p ->
                  match
-                   Inverted.node_extent idx ~doc:p.Posting.doc
+                   Inverted.node_extent idx ~doc:(Posting.doc p)
                      ~node_dewey:(Posting.node p)
                  with
                  | Some (lo, hi) -> Posting.abs_pos p >= lo && Posting.abs_pos p <= hi

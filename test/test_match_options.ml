@@ -141,7 +141,7 @@ let test_surface_case () =
   let accepted = List.filter e.Match_options.accept postings in
   Alcotest.check Alcotest.int "only exact surface" 1 (List.length accepted);
   Alcotest.check Alcotest.string "surface form" "USER"
-    (List.hd accepted).Ftindex.Posting.token.Tokenize.Token.word
+    (Ftindex.Posting.token (List.hd accepted)).Tokenize.Token.word
 
 let test_signature_distinguishes () =
   let sig_of opts =
