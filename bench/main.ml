@@ -881,13 +881,14 @@ let r2_cold_start () =
       Harness.row "  load snapshot (cold): %8.2f ms  (%.1fx vs re-indexing)\n"
         t_load
         (t_index /. Float.max 0.001 t_load);
-      (* salvage cost: damage one posting segment, load must repair *)
-      let post_seg =
-        Sys.readdir dir |> Array.to_list
-        |> List.find (fun f -> String.length f > 5 && String.sub f 0 5 = "post-")
+      (* salvage cost: damage one document segment, load must re-index
+         it from its source *)
+      let doc_seg =
+        Sys.readdir dir |> Array.to_list |> List.sort compare
+        |> List.find (fun f -> String.length f > 4 && String.sub f 0 4 = "doc-")
       in
       let damage () =
-        let path = Filename.concat dir post_seg in
+        let path = Filename.concat dir doc_seg in
         let ic = open_in_bin path in
         let data =
           Fun.protect
@@ -902,16 +903,21 @@ let r2_cold_start () =
           (fun () -> output_bytes oc b)
       in
       damage ();
+      let sources =
+        List.map (fun (uri, root) -> (uri, Xmlkit.Printer.to_string root)) docs
+      in
       let loaded = ref None in
       let t_salvage =
         Harness.time_ms ~runs:5 (fun () ->
-            loaded := Some (Ftindex.Store.load ~dir ()))
+            loaded := Some (Ftindex.Store.load ~sources ~dir ()))
       in
       match !loaded with
       | Some l ->
           Harness.row
-            "  load with 1 damaged posting segment: %8.2f ms (%d words rebuilt)\n"
-            t_salvage l.Ftindex.Store.report.Ftindex.Store.rebuilt_words
+            "  load with 1 damaged document segment, re-indexed from source: \
+             %8.2f ms (%d document(s) re-indexed)\n"
+            t_salvage
+            (List.length l.Ftindex.Store.report.Ftindex.Store.reindexed)
       | None -> ())
 
 (* ---------------------------------------------------------------- R3 *)

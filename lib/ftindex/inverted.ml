@@ -196,9 +196,6 @@ let postings_in t ~doc ~node_dewey word =
    each document root's id to its uri. *)
 let doc_of_node t node = IMap.find_opt (Node.tree_id node) t.uri_of_tree
 
-let fold_words f t acc =
-  SMap.fold (fun w wp acc -> f w (postings_of_word t w wp) acc) t.postings acc
-
 (* The word-position extent of a node: positions of a node's tokens are
    contiguous (pre-order Dewey containment), so the extent is the (first,
    last) absolute position of tokens whose Dewey label the node contains.

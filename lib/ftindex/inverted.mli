@@ -82,9 +82,6 @@ val doc_of_node : t -> Xmlkit.Node.t -> string option
 (** Recover the indexed document a node belongs to, in O(log documents),
     by the tree id of its sealed tree. *)
 
-val fold_words : (string -> Posting.t list -> 'a -> 'a) -> t -> 'a -> 'a
-(** Visit every word with its {!postings}, in increasing word order. *)
-
 val tokens_of_doc : t -> doc:string -> Tokenize.Token.t array
 (** The full token stream of one document in position order. *)
 

@@ -1,12 +1,10 @@
 (* Crash-safe persistent snapshots of the inverted index (see store.mli
    for the contract).
 
-   On-disk layout of a snapshot directory:
+   On-disk layout of a snapshot directory (format version 2):
 
      MANIFEST             framed manifest, written last (atomic switchover)
-     doc-<gen>-NNNN.seg   one per document: uri, XML source, token stream
-     post-<gen>-NNNN.seg  posting segments over the sorted distinct-word
-                          list; a word's postings may span several segments
+     doc-<gen>-NNNN.seg   one per document: its uri and XML source
 
    Every file shares one frame: magic (8 bytes), format version (u32),
    kind byte, payload length (u64), payload, CRC-32 of the payload.  The
@@ -15,16 +13,20 @@
    snapshot until the final manifest rename; stale generations are
    best-effort unlinked afterwards.
 
-   The recovery invariant load maintains: postings are fully derivable
-   from the per-document token streams plus corpus statistics (which are
-   themselves derivable from the token streams), and that derivation is
-   bit-identical to what Indexer.index_documents produced.  So any damaged
-   posting range can be rebuilt exactly as long as the document segments
-   are intact, and a damaged document segment can be re-indexed exactly
-   from its original source text. *)
+   The index is derived data, so a snapshot stores each document once, as
+   source, and load re-derives the index with the same call `galatex
+   index` uses (Indexer.index_documents under the manifest's tokenizer
+   configuration): the loaded index equals a fresh build by construction.
+   The manifest's per-document token counts and corpus totals check that
+   derivation.  A damaged document segment is re-indexed from its
+   original source text when the caller provides it.
+
+   Version 1 snapshots (which also stored token streams and posting
+   segments) fail to load and refuse to be overwritten with GTLX0007;
+   re-index them with `galatex index`. *)
 
 let format_magic = "GTXIDX1\n"
-let format_version = 1
+let format_version = 2
 let manifest_name = "MANIFEST"
 
 (* ------------------------------------------------------------------ *)
@@ -66,11 +68,6 @@ let put_u64 b v =
     put_u8 b (v lsr (8 * i))
   done
 
-let put_bits64 b (x : int64) =
-  for i = 0 to 7 do
-    put_u8 b Int64.(to_int (logand (shift_right_logical x (8 * i)) 0xFFL))
-  done
-
 let put_str b s =
   put_u32 b (String.length s);
   Buffer.add_string b s
@@ -101,13 +98,6 @@ let get_u64 r =
     let byte = get_u8 r in
     if i = 7 && byte > 0x7F then corrupt "64-bit field out of range";
     v := !v lor (byte lsl (8 * i))
-  done;
-  !v
-
-let get_bits64 r =
-  let v = ref 0L in
-  for i = 0 to 7 do
-    v := Int64.(logor !v (shift_left (of_int (get_u8 r)) (8 * i)))
   done;
   !v
 
@@ -320,26 +310,6 @@ let unframe data =
 (* ------------------------------------------------------------------ *)
 (* Payload encodings.                                                  *)
 
-let put_token b (t : Tokenize.Token.t) =
-  put_str b t.Tokenize.Token.word;
-  put_str b t.Tokenize.Token.norm;
-  put_str b (Xmlkit.Dewey.to_string t.Tokenize.Token.node);
-  put_u32 b t.Tokenize.Token.abs_pos;
-  put_u32 b t.Tokenize.Token.sentence;
-  put_u32 b t.Tokenize.Token.para
-
-let get_token r =
-  let word = get_str r in
-  let norm = get_str r in
-  let node =
-    let s = get_str r in
-    try Xmlkit.Dewey.of_string s with Invalid_argument m -> corrupt "%s" m
-  in
-  let abs_pos = get_u32 r in
-  let sentence = get_u32 r in
-  let para = get_u32 r in
-  { Tokenize.Token.word; norm; node; abs_pos; sentence; para }
-
 let put_str_list b l =
   put_u32 b (List.length l);
   List.iter (put_str b) l
@@ -348,26 +318,15 @@ let get_str_list r = List.init (get_u32 r) (fun _ -> get_str r)
 
 type mdoc = { m_uri : string; m_file : string; m_tokens : int }
 
-type mseg = {
-  p_file : string;
-  p_first : string;
-  p_last : string;
-  p_entries : int;
-  p_postings : int;
-}
-
 type manifest = {
   gen : int;
   m_config : Tokenize.Segmenter.config;
   mdocs : mdoc list;
-  msegs : mseg list;
-  m_total : int;  (** total postings (= total tokens) across the corpus *)
+  m_total : int;  (** total tokens across the corpus *)
   m_words : int;  (** distinct-word count *)
   m_epoch : int;
       (** primary-failover fencing epoch: bumped durably on every
-          promotion, carried across generations by {!save}; encoded as an
-          optional trailing field so pre-epoch manifests decode as epoch
-          1 *)
+          promotion, carried across generations by {!save} *)
 }
 
 let encode_manifest m =
@@ -382,15 +341,6 @@ let encode_manifest m =
       put_str b d.m_file;
       put_u32 b d.m_tokens)
     m.mdocs;
-  put_u32 b (List.length m.msegs);
-  List.iter
-    (fun s ->
-      put_str b s.p_file;
-      put_str b s.p_first;
-      put_str b s.p_last;
-      put_u32 b s.p_entries;
-      put_u32 b s.p_postings)
-    m.msegs;
   put_u64 b m.m_total;
   put_u32 b m.m_words;
   put_u32 b m.m_epoch;
@@ -408,90 +358,35 @@ let decode_manifest payload =
         let m_tokens = get_u32 r in
         { m_uri; m_file; m_tokens })
   in
-  let msegs =
-    List.init (get_u32 r) (fun _ ->
-        let p_file = get_str r in
-        let p_first = get_str r in
-        let p_last = get_str r in
-        let p_entries = get_u32 r in
-        let p_postings = get_u32 r in
-        { p_file; p_first; p_last; p_entries; p_postings })
-  in
   let m_total = get_u64 r in
   let m_words = get_u32 r in
-  (* optional trailing epoch: pre-epoch manifests end at m_words *)
-  let m_epoch = if r.pos < String.length payload then get_u32 r else 1 in
+  let m_epoch = get_u32 r in
   if r.pos <> String.length payload then corrupt "trailing manifest bytes";
   let uris = List.map (fun d -> d.m_uri) mdocs in
   if List.length (List.sort_uniq compare uris) <> List.length uris then
     corrupt "duplicate document uri in manifest";
   { gen; m_config = { Tokenize.Segmenter.paragraph_elements; ignore_elements };
-    mdocs; msegs; m_total; m_words; m_epoch }
+    mdocs; m_total; m_words; m_epoch }
 
-let encode_doc ~uri ~source (tokens : Tokenize.Token.t array) =
-  let b = Buffer.create (String.length source + 1024) in
+let encode_doc ~uri ~source =
+  let b = Buffer.create (String.length uri + String.length source + 8) in
   put_str b uri;
   put_str b source;
-  put_u32 b (Array.length tokens);
-  Array.iter (put_token b) tokens;
   Buffer.contents b
 
 let decode_doc payload =
   let r = reader payload in
   let uri = get_str r in
   let source = get_str r in
-  let tokens = Array.init (get_u32 r) (fun _ -> get_token r) in
   if r.pos <> String.length payload then corrupt "trailing document bytes";
-  (uri, source, tokens)
-
-(* A posting within a segment references its token as (document index in
-   manifest order, token index in that document's stream) plus the stored
-   score — compact, and exactly reconstructible. *)
-let encode_postings entries =
-  let b = Buffer.create 4096 in
-  put_u32 b (List.length entries);
-  List.iter
-    (fun (word, chunk) ->
-      put_str b word;
-      put_u32 b (List.length chunk);
-      List.iter
-        (fun (doc_idx, tok_idx, score) ->
-          put_u32 b doc_idx;
-          put_u32 b tok_idx;
-          put_bits64 b (Int64.bits_of_float score))
-        chunk)
-    entries;
-  Buffer.contents b
-
-let decode_postings payload =
-  let r = reader payload in
-  let entries =
-    List.init (get_u32 r) (fun _ ->
-        let word = get_str r in
-        let chunk =
-          List.init (get_u32 r) (fun _ ->
-              let doc_idx = get_u32 r in
-              let tok_idx = get_u32 r in
-              let score = Int64.float_of_bits (get_bits64 r) in
-              (doc_idx, tok_idx, score))
-        in
-        (word, chunk))
-  in
-  if r.pos <> String.length payload then corrupt "trailing posting bytes";
-  entries
+  (uri, source)
 
 (* ------------------------------------------------------------------ *)
 (* Damage reporting.                                                   *)
 
-type scope = Document of string | Word_range of string * string
+type damage = { file : string; uri : string; reason : string }
 
-type damage = { file : string; reason : string; scope : scope }
-
-type report = {
-  damaged : damage list;
-  reindexed : string list;
-  rebuilt_words : int;
-}
+type report = { damaged : damage list; reindexed : string list }
 
 let clean r = r.damaged = []
 
@@ -499,16 +394,12 @@ let pp_report ppf r =
   if clean r then Format.fprintf ppf "snapshot loaded clean"
   else begin
     Format.fprintf ppf
-      "salvaged snapshot: %d damaged segment(s), %d document(s) re-indexed, %d word(s) rebuilt"
+      "salvaged snapshot: %d damaged segment(s), %d document(s) re-indexed"
       (List.length r.damaged)
-      (List.length r.reindexed)
-      r.rebuilt_words;
+      (List.length r.reindexed);
     List.iter
       (fun d ->
-        Format.fprintf ppf "@\n  %s: %s%s" d.file d.reason
-          (match d.scope with
-          | Document uri -> Printf.sprintf " (document %s)" uri
-          | Word_range (a, z) -> Printf.sprintf " (words %S..%S)" a z))
+        Format.fprintf ppf "@\n  %s: %s (document %s)" d.file d.reason d.uri)
       r.damaged
   end
 
@@ -519,41 +410,34 @@ let report_to_string r = Format.asprintf "%a" pp_report r
 
 let storage_error code fmt = Xquery.Errors.raise_error code fmt
 
-let seg_prefixes = [ "doc-"; "post-" ]
-
 (* "doc-7-0003.seg" -> Some 7 *)
 let gen_of_filename name =
   if Filename.check_suffix name ".seg" then
     match String.split_on_char '-' name with
-    | prefix :: gen :: _ when List.mem (prefix ^ "-") seg_prefixes ->
-        int_of_string_opt gen
+    | "doc" :: gen :: _ -> int_of_string_opt gen
     | _ -> None
   else None
 
-let sorted_words_with_postings index =
-  List.rev (Inverted.fold_words (fun w ps acc -> (w, ps) :: acc) index [])
+(* Plain-I/O, total read of the directory's manifest frame.  Deliberately
+   not routed through a caller's injector: it is a read-only peek, and
+   keeping it off the fault-op counter keeps the save/compact sweeps
+   deterministic. *)
+let peek_manifest ~dir =
+  match Io.read_file (Io.real ()) (Filename.concat dir manifest_name) with
+  | exception _ -> None
+  | data -> Some (data, unframe data)
 
-(* Index of a posting's token inside its document's token stream: streams
-   are in strictly increasing absolute-position order, so binary search. *)
-let token_index tokens (p : Posting.t) =
-  let target = Posting.abs_pos p in
-  let lo = ref 0 and hi = ref (Array.length tokens - 1) in
-  let found = ref (-1) in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let pos = tokens.(mid).Tokenize.Token.abs_pos in
-    if pos = target then begin
-      found := mid;
-      lo := !hi + 1
-    end
-    else if pos < target then lo := mid + 1
-    else hi := mid - 1
-  done;
-  if !found < 0 then
-    invalid_arg
-      (Printf.sprintf "Store.save: posting at position %d not in token stream"
-         target);
-  !found
+let decoded_manifest = function
+  | Some (_, Frame_ok ('M', payload)) -> (
+      match decode_manifest payload with
+      | m -> Some m
+      | exception Corrupt _ -> None)
+  | Some (_, (Frame_ok _ | Frame_version _ | Frame_corrupt _)) | None -> None
+
+(* The directory's current manifest, or [None] when there is no readable
+   one: what [save] carries the fencing epoch from, and what the serving
+   layer polls between requests. *)
+let manifest_opt ~dir = decoded_manifest (peek_manifest ~dir)
 
 (* ------------------------------------------------------------------ *)
 (* Save.                                                               *)
@@ -570,112 +454,49 @@ let next_generation io dir =
       match gen_of_filename name with Some g -> max acc (g + 1) | None -> acc)
     1 files
 
-(* Plain-I/O, total read of the directory's current manifest — used by
-   [save] to carry the fencing epoch across generations and by the epoch
-   helpers further down.  Deliberately not routed through the caller's
-   injector: it is a read-only peek, and keeping it off the fault-op
-   counter keeps the save/compact sweeps deterministic. *)
-let manifest_opt ~dir =
-  match Io.read_file (Io.real ()) (Filename.concat dir manifest_name) with
-  | exception _ -> None
-  | data -> (
-      match unframe data with
-      | Frame_ok ('M', payload) -> (
-          match decode_manifest payload with
-          | m -> Some m
-          | exception Corrupt _ -> None)
-      | Frame_ok _ | Frame_version _ | Frame_corrupt _ -> None)
-
 let save ?(io = Io.real ()) ?(config = Tokenize.Segmenter.default_config)
-    ?(segment_postings = 4096) ?epoch ~dir index =
-  let segment_postings = max 1 segment_postings in
+    ?epoch ~dir index =
+  let previous = peek_manifest ~dir in
+  (* a manifest of another format version is refused, not treated as
+     absent: replacing it would silently restart the fencing epoch *)
+  (match previous with
+  | Some (_, Frame_version v) ->
+      storage_error Xquery.Errors.GTLX0007
+        "cannot save into %s: it holds a format version %d snapshot and this \
+         build writes version %d (re-index into a fresh directory with \
+         galatex index)"
+        dir v format_version
+  | Some (_, (Frame_ok _ | Frame_corrupt _)) | None -> ());
   (* the fencing epoch survives compaction: a new generation into an
      existing directory keeps the directory's epoch unless the caller
      stamps one explicitly; a fresh directory starts at epoch 1 *)
   let epoch =
-    match epoch with
-    | Some e -> e
-    | None -> ( match manifest_opt ~dir with Some m -> m.m_epoch | None -> 1)
+    match (epoch, decoded_manifest previous) with
+    | Some e, _ -> e
+    | None, Some m -> m.m_epoch
+    | None, None -> 1
   in
   try
     Io.mkdir io dir;
     let gen = next_generation io dir in
-    let docs = Inverted.documents index in
-    (* document segments *)
     let mdocs =
       List.mapi
         (fun i (uri, root) ->
-          let tokens = Inverted.tokens_of_doc index ~doc:uri in
           let file = Printf.sprintf "doc-%d-%04d.seg" gen i in
-          let payload = encode_doc ~uri ~source:(Xmlkit.Printer.to_string root) tokens in
-          atomic_write io ~dir file (frame ~kind:'D' payload);
-          { m_uri = uri; m_file = file; m_tokens = Array.length tokens })
-        docs
-    in
-    let doc_index = Hashtbl.create 16 in
-    List.iteri (fun i (uri, _) -> Hashtbl.replace doc_index uri i) docs;
-    let doc_tokens =
-      Array.of_list
-        (List.map (fun (uri, _) -> Inverted.tokens_of_doc index ~doc:uri) docs)
-    in
-    (* posting segments: pack (word, chunk) entries up to the cap; a long
-       posting list spills into the following segment(s) *)
-    let msegs = ref [] in
-    let seg_no = ref 0 in
-    let cur = ref [] (* rev (word, rev chunk) *) in
-    let cur_count = ref 0 in
-    let flush () =
-      if !cur <> [] then begin
-        let entries = List.rev_map (fun (w, c) -> (w, List.rev c)) !cur in
-        let file = Printf.sprintf "post-%d-%04d.seg" gen !seg_no in
-        incr seg_no;
-        atomic_write io ~dir file (frame ~kind:'P' (encode_postings entries));
-        msegs :=
+          let source = Xmlkit.Printer.to_string root in
+          atomic_write io ~dir file (frame ~kind:'D' (encode_doc ~uri ~source));
           {
-            p_file = file;
-            p_first = fst (List.hd entries);
-            p_last = fst (List.hd !cur);
-            p_entries = List.length entries;
-            p_postings = !cur_count;
-          }
-          :: !msegs;
-        cur := [];
-        cur_count := 0
-      end
+            m_uri = uri;
+            m_file = file;
+            m_tokens = Array.length (Inverted.tokens_of_doc index ~doc:uri);
+          })
+        (Inverted.documents index)
     in
-    List.iter
-      (fun (word, postings) ->
-        let refs =
-          List.map
-            (fun (p : Posting.t) ->
-              let di = Hashtbl.find doc_index (Posting.doc p) in
-              (di, token_index doc_tokens.(di) p, Posting.score p))
-            postings
-        in
-        let rec place = function
-          | [] -> ()
-          | refs ->
-              if !cur_count >= segment_postings then flush ();
-              let room = segment_postings - !cur_count in
-              let rec take n acc rest =
-                match (n, rest) with
-                | 0, _ | _, [] -> (List.rev acc, rest)
-                | n, x :: tl -> take (n - 1) (x :: acc) tl
-              in
-              let chunk, rest = take room [] refs in
-              cur := (word, List.rev chunk) :: !cur;
-              cur_count := !cur_count + List.length chunk;
-              place rest
-        in
-        place refs)
-      (sorted_words_with_postings index);
-    flush ();
     let manifest =
       {
         gen;
         m_config = config;
         mdocs;
-        msegs = List.rev !msegs;
         m_total = Inverted.total_postings index;
         m_words = Inverted.distinct_word_count index;
         m_epoch = epoch;
@@ -711,29 +532,26 @@ let save ?(io = Io.real ()) ?(config = Tokenize.Segmenter.default_config)
 (* ------------------------------------------------------------------ *)
 (* Load.                                                               *)
 
-type 'a segment_read = Seg_ok of 'a | Seg_damaged of string
-
-(* Read and unframe one segment file; corruption becomes Seg_damaged, a
+(* Read and unframe one document segment; corruption is [Error reason], a
    version mismatch inside a segment too (the manifest's version is the
    snapshot's — a stray other-version segment is damage, and salvage
    applies). *)
-let read_segment io ~dir ~kind ~decode file =
-  let path = Filename.concat dir file in
-  match Io.read_file io path with
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> Seg_damaged "missing file"
-  | exception Sys_error msg -> Seg_damaged ("unreadable: " ^ msg)
+let read_doc_segment io ~dir file =
+  match Io.read_file io (Filename.concat dir file) with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> Error "missing file"
+  | exception Sys_error msg -> Error ("unreadable: " ^ msg)
   | exception Unix.Unix_error (e, _, _) ->
-      Seg_damaged ("unreadable: " ^ Unix.error_message e)
+      Error ("unreadable: " ^ Unix.error_message e)
   | data -> (
       match unframe data with
-      | Frame_version v -> Seg_damaged (Printf.sprintf "format version %d" v)
-      | Frame_corrupt reason -> Seg_damaged reason
-      | Frame_ok (k, _) when k <> kind ->
-          Seg_damaged (Printf.sprintf "wrong segment kind %C" k)
+      | Frame_version v -> Error (Printf.sprintf "format version %d" v)
+      | Frame_corrupt reason -> Error reason
+      | Frame_ok (k, _) when k <> 'D' ->
+          Error (Printf.sprintf "wrong segment kind %C" k)
       | Frame_ok (_, payload) -> (
-          match decode payload with
-          | v -> Seg_ok v
-          | exception Corrupt reason -> Seg_damaged reason))
+          match decode_doc payload with
+          | doc -> Ok doc
+          | exception Corrupt reason -> Error reason))
 
 let read_manifest io ~dir =
   let path = Filename.concat dir manifest_name in
@@ -753,8 +571,9 @@ let read_manifest io ~dir =
       match unframe data with
       | Frame_version v ->
           storage_error Xquery.Errors.GTLX0007
-            "snapshot format version %d; this build reads version %d" v
-            format_version
+            "snapshot format version %d; this build reads version %d \
+             (re-index with galatex index)"
+            v format_version
       | Frame_corrupt reason ->
           storage_error Xquery.Errors.GTLX0006 "corrupt snapshot manifest: %s"
             reason
@@ -776,40 +595,14 @@ type loaded = {
   epoch : int;
 }
 
-(* The generation currently named by the directory's manifest, via plain
-   I/O and total: the serving layer polls this between requests, and the
-   load retry below uses it to distinguish real corruption from a race
-   against a concurrent save. *)
-let current_generation ~dir =
-  match Io.read_file (Io.real ()) (Filename.concat dir manifest_name) with
-  | exception _ -> None
-  | data -> (
-      match unframe data with
-      | Frame_ok ('M', payload) -> (
-          match decode_manifest payload with
-          | m -> Some m.gen
-          | exception Corrupt _ -> None)
-      | Frame_ok _ | Frame_version _ | Frame_corrupt _ -> None)
+let current_generation ~dir = Option.map (fun m -> m.gen) (manifest_opt ~dir)
 
 (* The complete file listing of the current snapshot, manifest first:
-   what a replica must copy to hold a bit-identical base.  Same
-   total plain-I/O discipline as current_generation. *)
+   what a replica must copy to hold a bit-identical base. *)
 let snapshot_files ~dir =
-  match Io.read_file (Io.real ()) (Filename.concat dir manifest_name) with
-  | exception _ -> None
-  | data -> (
-      match unframe data with
-      | Frame_ok ('M', payload) -> (
-          match decode_manifest payload with
-          | m ->
-              let files =
-                manifest_name
-                :: (List.map (fun d -> d.m_file) m.mdocs
-                   @ List.map (fun s -> s.p_file) m.msegs)
-              in
-              Some (m.gen, files)
-          | exception Corrupt _ -> None)
-      | Frame_ok _ | Frame_version _ | Frame_corrupt _ -> None)
+  Option.map
+    (fun m -> (m.gen, manifest_name :: List.map (fun d -> d.m_file) m.mdocs))
+    (manifest_opt ~dir)
 
 (* CRC-32 of the manifest *payload*.  Because every segment file's name
    and framing is fixed by its contents and the manifest names them all,
@@ -823,14 +616,12 @@ let snapshot_files ~dir =
    residue property), which would blind anti-entropy to every
    same-length divergence, an epoch bump being the canonical one. *)
 let manifest_crc ~dir =
-  match Io.read_file (Io.real ()) (Filename.concat dir manifest_name) with
-  | exception _ -> None
-  | data -> (
-      match unframe data with
-      | Frame_ok (_, payload) -> Some (crc32 payload)
-      (* unreadable frame: hash the raw bytes so the comparison still
-         disagrees with any healthy peer and forces the repair *)
-      | Frame_version _ | Frame_corrupt _ -> Some (crc32 data))
+  match peek_manifest ~dir with
+  | None -> None
+  | Some (_, Frame_ok (_, payload)) -> Some (crc32 payload)
+  (* unreadable frame: hash the raw bytes so the comparison still
+     disagrees with any healthy peer and forces the repair *)
+  | Some (data, (Frame_version _ | Frame_corrupt _)) -> Some (crc32 data)
 
 let install_file ?(io = Io.real ()) ~dir ~name data =
   Io.mkdir io dir;
@@ -870,128 +661,88 @@ let bump_epoch ?(io = Io.real ()) ~dir ~epoch () =
       end
 
 let load_manifest ~io ~governor ~sources ~dir m =
-  let tick () = Option.iter Xquery.Limits.io_tick governor in
-  let damaged = ref [] in
-  let add_damage file reason scope =
-    damaged := { file; reason; scope } :: !damaged
+  let damaged = ref [] and fatal = ref [] in
+  (* a document whose stored copy is unusable: parse its caller-provided
+     source instead, or record it as unsalvageable *)
+  let salvage md reason =
+    damaged := { file = md.m_file; uri = md.m_uri; reason } :: !damaged;
+    match List.assoc_opt md.m_uri sources with
+    | Some source ->
+        Some (md.m_uri, Xmlkit.Parser.parse_document ~uri:md.m_uri source)
+    | None ->
+        fatal := (md, reason) :: !fatal;
+        None
   in
-  (* -- document segments ------------------------------------------- *)
-  let reindexed = ref [] in
-  let fatal = ref [] in
-  let docs =
-    (* (uri, root, tokens) in manifest (= indexing) order *)
-    List.filter_map
-      (fun md ->
-        tick ();
-        let salvage reason =
-          add_damage md.m_file reason (Document md.m_uri);
-          match List.assoc_opt md.m_uri sources with
-          | Some source ->
-              let root = Xmlkit.Parser.parse_document ~uri:md.m_uri source in
-              let tokens =
-                Array.of_list
-                  (Tokenize.Segmenter.tokenize_document ~config:m.m_config root)
-              in
-              reindexed := md.m_uri :: !reindexed;
-              Some (md.m_uri, root, tokens)
-          | None ->
-              fatal := (md.m_file, md.m_uri, reason) :: !fatal;
-              None
-        in
-        match
-          read_segment io ~dir ~kind:'D' ~decode:decode_doc md.m_file
-        with
-        | Seg_damaged reason -> salvage reason
-        | Seg_ok (uri, source, tokens) ->
-            if uri <> md.m_uri || Array.length tokens <> md.m_tokens then
-              salvage "inconsistent with manifest"
-            else begin
-              match Xmlkit.Parser.parse_document ~uri source with
-              | root -> Some (uri, root, tokens)
-              | exception _ -> salvage "stored XML does not parse"
-            end)
-      m.mdocs
+  let check_fatal () =
+    if !fatal <> [] then
+      storage_error Xquery.Errors.GTLX0006
+        "unsalvageable snapshot: %s (no re-index source provided; pass the \
+         original document(s) to recover)"
+        (String.concat "; "
+           (List.rev_map
+              (fun (md, reason) ->
+                Printf.sprintf "%s [%s]: %s" md.m_file md.m_uri reason)
+              !fatal))
   in
-  if !fatal <> [] then
-    storage_error Xquery.Errors.GTLX0006
-      "unsalvageable snapshot: %s (no re-index source provided; pass the \
-       original document(s) to recover)"
-      (String.concat "; "
-         (List.rev_map
-            (fun (file, uri, reason) ->
-              Printf.sprintf "%s [%s]: %s" file uri reason)
-            !fatal));
-  let reindexed = List.rev !reindexed in
-  (* -- the index, from the token streams ----------------------------- *)
-  let index = Inverted.of_documents docs in
-  let doc_arr = Array.of_list docs in
-  (* -- posting segments: verified against the token streams ----------- *)
-  (* Postings and their scores are fully derivable from the token
-     streams, so the index never reads them back; a posting segment is
-     a checksummed witness.  Its damage is reported, and its words count
-     as rebuilt. *)
-  let damaged_ranges = ref [] in
-  let inconsistent = ref false in
-  let seen_words = Hashtbl.create 256 in
-  let seen_postings = ref 0 in
-  let check_ref word (doc_idx, tok_idx, _score) =
-    if doc_idx < 0 || doc_idx >= Array.length doc_arr then inconsistent := true
-    else
-      let _, _, tokens = doc_arr.(doc_idx) in
-      if
-        tok_idx < 0
-        || tok_idx >= Array.length tokens
-        || tokens.(tok_idx).Tokenize.Token.norm <> word
-      then inconsistent := true
+  let stored md =
+    Option.iter Xquery.Limits.io_tick governor;
+    match read_doc_segment io ~dir md.m_file with
+    | Error reason -> salvage md reason
+    | Ok (uri, _) when uri <> md.m_uri ->
+        salvage md "inconsistent with manifest"
+    | Ok (uri, source) -> (
+        match Xmlkit.Parser.parse_document ~uri source with
+        | root -> Some (uri, root)
+        | exception _ -> salvage md "stored XML does not parse")
   in
-  List.iter
-    (fun ms ->
-      tick ();
-      match
-        read_segment io ~dir ~kind:'P' ~decode:decode_postings ms.p_file
-      with
-      | Seg_damaged reason ->
-          add_damage ms.p_file reason (Word_range (ms.p_first, ms.p_last));
-          damaged_ranges := (ms.p_first, ms.p_last) :: !damaged_ranges
-      | Seg_ok entries ->
-          List.iter
-            (fun (word, chunk) ->
-              Hashtbl.replace seen_words word ();
-              seen_postings := !seen_postings + List.length chunk;
-              List.iter (check_ref word) chunk)
-            entries)
-    m.msegs;
-  let in_damaged_range w =
-    List.exists (fun (a, z) -> a <= w && w <= z) !damaged_ranges
+  (* (manifest entry, parsed document) in manifest (= indexing) order *)
+  let docs = List.map (fun md -> (md, stored md)) m.mdocs in
+  check_fatal ();
+  let build docs =
+    Indexer.index_documents ~config:m.m_config (List.filter_map snd docs)
   in
-  let words = Inverted.distinct_words index in
-  (* defense in depth: the segments must agree with the manifest's totals
-     and the manifest with the token streams (re-indexed documents aside);
-     if not, the snapshot lies somewhere the CRCs did not cover *)
-  let lying =
-    reindexed = []
-    && (!inconsistent
-       || m.m_total <> Inverted.total_postings index
-       || m.m_words <> Inverted.distinct_word_count index
-       || !damaged_ranges = []
-          && (!seen_postings <> m.m_total
-             || Hashtbl.length seen_words <> m.m_words))
+  let index = build docs in
+  (* The manifest's token counts check the derivation: a stored document
+     that no longer yields its count is damage like any other.  When
+     every count matches but the corpus totals do not, no one document is
+     to blame, so all of them are. *)
+  let salvaged md = List.exists (fun d -> d.uri = md.m_uri) !damaged in
+  let mismatched =
+    List.filter
+      (fun (md, _) ->
+        (not (salvaged md))
+        && Array.length (Inverted.tokens_of_doc index ~doc:md.m_uri)
+           <> md.m_tokens)
+      docs
   in
-  if lying then
-    add_damage manifest_name
-      "postings disagree with manifest totals; rebuilt from token streams"
-      (Word_range ("", "\xff"));
-  let rebuilt_words =
-    (* a re-indexed document invalidates every (doc_idx, token_idx)
-       reference into it, and a lying snapshot every reference *)
-    if reindexed <> [] || lying then List.length words
-    else List.length (List.filter in_damaged_range words)
+  let mismatched =
+    if
+      mismatched = [] && !damaged = []
+      && (m.m_total <> Inverted.total_postings index
+         || m.m_words <> Inverted.distinct_word_count index)
+    then docs
+    else mismatched
   in
+  let index =
+    if mismatched = [] then index
+    else begin
+      let docs =
+        List.map
+          (fun (md, doc) ->
+            if List.mem_assq md mismatched then
+              (md, salvage md "inconsistent with manifest")
+            else (md, doc))
+          docs
+      in
+      check_fatal ();
+      build docs
+    end
+  in
+  let damaged = List.rev !damaged in
   {
     index;
     config = m.m_config;
-    report =
-      { damaged = List.rev !damaged; reindexed; rebuilt_words };
+    report = { damaged; reindexed = List.map (fun d -> d.uri) damaged };
     generation = m.gen;
     epoch = m.m_epoch;
   }

@@ -1,12 +1,15 @@
 (** Crash-safe persistent snapshots of the inverted index.
 
-    The paper's architecture (Figure 4) treats inverted lists as off-line
-    preprocessed artifacts; this module makes that step durable: a
-    versioned on-disk snapshot directory holding a manifest plus
-    length-prefixed, CRC-32-checksummed segments — one document segment per
-    indexed document (its XML source and full token stream) and a run of
-    word-range posting segments (each word's postings chunked over one or
-    more segments).
+    The paper's architecture (Figure 4) derives inverted lists off-line
+    from the documents; this module makes the corpus durable and derives
+    the index the same way on load.  A snapshot directory (format version
+    2) holds a manifest plus one length-prefixed, CRC-32-checksummed
+    document segment per indexed document, carrying only its uri and XML
+    source.  No token streams or postings are stored: {!load} verifies
+    every checksum, parses each source and re-indexes the corpus with
+    [Indexer.index_documents] under the tokenizer configuration recorded
+    in the manifest, so the loaded index equals a fresh build by
+    construction.
 
     {b Crash safety.}  Every file is written to a temp name, fsynced and
     atomically renamed; the manifest — which names every segment of the
@@ -15,14 +18,19 @@
     the new one; never a half-visible mix.
 
     {b Corruption handling.}  {!load} verifies magic, version and payload
-    checksum of every file.  Damaged posting segments are {e salvaged} by
-    rebuilding the affected word range from the (intact) document token
-    streams; damaged document segments are re-indexed from caller-provided
-    sources when available.  Only when salvage is impossible does load
-    raise, and then always a structured [Xquery.Errors.Error]:
-    [GTLX0006] unsalvageable corrupt segment, [GTLX0007] format version
-    mismatch, [GTLX0008] incomplete snapshot.  No raw exception, and never
-    a silently divergent index.
+    checksum of every file, and checks the re-derived index against the
+    per-document token counts and corpus totals the manifest records.  A
+    damaged or inconsistent document segment is {e salvaged} by
+    re-indexing the document from caller-provided sources when available.
+    Only when salvage is impossible does load raise, and then always a
+    structured [Xquery.Errors.Error]: [GTLX0006] unsalvageable corrupt
+    segment, [GTLX0007] format version mismatch, [GTLX0008] incomplete
+    snapshot.  No raw exception, and never a silently divergent index.
+
+    {b Upgrading.}  A version 1 snapshot (which also stored token streams
+    and posting segments) is refused with [GTLX0007], by {!load} and by
+    {!save} into its directory alike; re-index the documents with
+    [galatex index] into a fresh directory.
 
     {b Fault injection.}  All I/O goes through {!Io}, a deterministic
     counter-driven single-shot injector mirroring the eval-step injector in
@@ -89,23 +97,18 @@ val crc32 : string -> int
 
 (** {1 Damage reporting} *)
 
-type scope =
-  | Document of string  (** a document segment; the payload is the uri *)
-  | Word_range of string * string
-      (** a posting segment covering first..last distinct words *)
-
 type damage = {
   file : string;  (** segment file name within the snapshot directory *)
-  reason : string;  (** e.g. ["checksum mismatch"], ["truncated"] *)
-  scope : scope;
+  uri : string;  (** the document the segment holds *)
+  reason : string;
+      (** e.g. ["checksum mismatch"], ["truncated payload"],
+          ["inconsistent with manifest"] *)
 }
 
 type report = {
   damaged : damage list;  (** empty for a clean load *)
   reindexed : string list;
       (** uris of documents rebuilt from caller-provided sources *)
-  rebuilt_words : int;
-      (** distinct words whose postings were rebuilt from token streams *)
 }
 
 val clean : report -> bool
@@ -117,7 +120,6 @@ val report_to_string : report -> string
 val save :
   ?io:Io.t ->
   ?config:Tokenize.Segmenter.config ->
-  ?segment_postings:int ->
   ?epoch:int ->
   dir:string ->
   Inverted.t ->
@@ -125,20 +127,20 @@ val save :
 (** Write a snapshot of the index into [dir] (created if missing),
     crash-safely, replacing any previous snapshot only at the final
     manifest rename.  [config] is the tokenizer configuration the index
-    was built with — recorded so salvage re-indexes sources identically.
-    [segment_postings] caps postings per posting segment (default 4096);
-    a word with more postings spans several segments.  [epoch] stamps the
-    manifest with a fencing epoch; by default the directory's current
-    epoch carries over (a fresh directory starts at epoch 1), so
-    compaction never moves the epoch.
+    was built with — recorded so {!load} re-indexes the sources
+    identically.  [epoch] stamps the manifest with a fencing epoch; by
+    default the directory's current epoch carries over (a fresh directory
+    starts at epoch 1), so compaction never moves the epoch.
 
-    @raise Xquery.Errors.Error with [GTLX0008] when I/O fails mid-save.
+    @raise Xquery.Errors.Error with [GTLX0008] when I/O fails mid-save,
+    or [GTLX0007] when [dir] holds a snapshot of another format version
+    (overwriting it would silently restart its fencing epoch).
     @raise Io.Crashed under injected crash faults. *)
 
 type loaded = {
   index : Inverted.t;
   config : Tokenize.Segmenter.config;
-      (** the tokenizer configuration recorded at save time (salvage
+      (** the tokenizer configuration recorded at save time (load
           re-indexes with it; engines retain it for subsequent saves) *)
   report : report;
   generation : int;
@@ -147,8 +149,7 @@ type loaded = {
           use this to detect that the directory moved on *)
   epoch : int;
       (** the fencing epoch the manifest named — monotone across
-          promotions, constant across compactions; pre-epoch manifests
-          read as epoch 1 *)
+          promotions, constant across compactions *)
 }
 
 val load :
@@ -158,14 +159,15 @@ val load :
   dir:string ->
   unit ->
   loaded
-(** Read a snapshot back, verifying every checksum.  [sources] maps
-    document uris to XML source text, enabling re-indexing of damaged
-    document segments.  [governor] accounts one step per segment operation
-    and applies the wall-clock deadline to loading.
+(** Read a snapshot back, verifying every checksum, and re-index its
+    documents.  [sources] maps document uris to XML source text, enabling
+    re-indexing of damaged document segments.  [governor] accounts one
+    step per segment operation and applies the wall-clock deadline to
+    loading.
 
-    The result index is {e exact}: equal to the saved one, or — after
-    salvage — equal to re-indexing the same sources, with the report
-    describing every damaged segment and repair performed.
+    The result index is {e exact}: equal to indexing the saved documents
+    afresh, or — after salvage — to indexing the same sources, with the
+    report describing every damaged segment and repair performed.
 
     @raise Xquery.Errors.Error with [GTLX0006] (unsalvageable corruption),
     [GTLX0007] (version mismatch), [GTLX0008] (missing / incomplete

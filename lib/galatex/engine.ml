@@ -67,7 +67,7 @@ type t = {
   context_doc : Node.t option;  (** default context node for queries *)
   config : Tokenize.Segmenter.config;
       (** tokenizer configuration the index was built with — recorded into
-          snapshots so salvage re-indexes identically *)
+          snapshots so a load re-indexes identically *)
   fallbacks : int Atomic.t;
       (** graceful degradations since construction — atomic because one
           engine serves many concurrent requests in the query daemon *)
@@ -115,9 +115,8 @@ let generation t = t.generation
 let wal_recovery t = t.wal
 
 (* Persistence: delegate to the crash-safe store, carrying the engine's
-   tokenizer config so a later salvage re-indexes identically. *)
-let save ?io ?segment_postings t ~dir =
-  Ftindex.Store.save ?io ~config:t.config ?segment_postings ~dir (index t)
+   tokenizer config so a later load re-indexes identically. *)
+let save ?io t ~dir = Ftindex.Store.save ?io ~config:t.config ~dir (index t)
 
 let of_store ?io ?(limits = Xquery.Limits.defaults) ?sources ?thesauri
     ?default_thesaurus ~dir () =

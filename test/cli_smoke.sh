@@ -81,24 +81,24 @@ opt=$("$GX" query --index snap --trace-json --optimize "$PDQ" | sed 's/.*"allmat
 "$GX" query --server nowhere.sock --trace '//title' 2>/dev/null
 [ $? -ne 0 ] || { echo "FAIL: --trace with --server should be rejected" >&2; fails=$((fails+1)); }
 
-# --- corrupt a posting segment: salvaged, same answer, damage reported ---
-post_seg=$(ls snap/post-*.seg | head -1)
-dd if=/dev/zero of="$post_seg" bs=1 seek=40 count=4 conv=notrunc 2>/dev/null
-out=$("$GX" query --index snap '//title[. ftcontains "usability"]' 2>err.txt)
+# --- corrupt a document segment: salvaged from its --document source,
+# --- same answer, damage reported in one warning line ---
+doc_seg=$(ls snap/doc-*.seg | head -1)
+dd if=/dev/zero of="$doc_seg" bs=1 seek=40 count=4 conv=notrunc 2>/dev/null
+out=$("$GX" query --index snap -d a.xml -d b.xml '//title[. ftcontains "usability"]' 2>err.txt)
 expect_exit "salvaged query" 0 $?
 [ "$out" = "<title>Usability testing</title>" ] || { echo "FAIL: salvage changed the answer: $out" >&2; fails=$((fails+1)); }
 grep -q 'salvaged snapshot' err.txt || { echo "FAIL: salvage not reported" >&2; fails=$((fails+1)); }
 grep -q '^warning: ' err.txt || { echo "FAIL: salvage warning not a one-line 'warning:'" >&2; fails=$((fails+1)); }
+[ "$(wc -l < err.txt)" -eq 1 ] || { echo "FAIL: salvage warning spans more than one line" >&2; fails=$((fails+1)); }
 
 # --- --quiet silences the salvage warning (result unchanged) ---
-out=$("$GX" query --index snap --quiet '//title[. ftcontains "usability"]' 2>err.txt)
+out=$("$GX" query --index snap -d a.xml -d b.xml --quiet '//title[. ftcontains "usability"]' 2>err.txt)
 expect_exit "salvaged query with --quiet" 0 $?
 [ "$out" = "<title>Usability testing</title>" ] || { echo "FAIL: --quiet changed the answer: $out" >&2; fails=$((fails+1)); }
 grep -q 'warning:' err.txt && { echo "FAIL: --quiet did not silence the salvage warning" >&2; fails=$((fails+1)); }
 
-# --- corrupt a document segment: fatal without sources, salvaged with ---
-doc_seg=$(ls snap/doc-*.seg | head -1)
-dd if=/dev/zero of="$doc_seg" bs=1 seek=40 count=4 conv=notrunc 2>/dev/null
+# --- the damaged document segment is fatal without a source ---
 "$GX" query --index snap '//title[. ftcontains "usability"]' 2>err.txt
 expect_exit "corrupt doc segment without sources (GTLX0006)" 2 $?
 grep -q 'gtlx:GTLX0006' err.txt || { echo "FAIL: GTLX0006 not reported" >&2; fails=$((fails+1)); }

@@ -96,14 +96,14 @@ let test_stats () =
 
 let test_scores_in_unit_interval () =
   let idx = small_corpus () in
-  Inverted.fold_words
-    (fun w ps () ->
+  List.iter
+    (fun w ->
       List.iter
         (fun p ->
           if not (Posting.score p > 0.0 && Posting.score p <= 1.0) then
             Alcotest.failf "score of %s out of (0,1]: %f" w (Posting.score p))
-        ps)
-    idx ()
+        (Inverted.postings idx w))
+    (Inverted.distinct_words idx)
 
 let test_rarer_scores_higher () =
   let idx = small_corpus () in
@@ -168,19 +168,18 @@ let prop_extent_consistent =
         }
       in
       let idx = Corpus.Generator.index_books profile in
-      Inverted.fold_words
-        (fun _ ps acc ->
-          acc
-          && List.for_all
-               (fun p ->
-                 match
-                   Inverted.node_extent idx ~doc:(Posting.doc p)
-                     ~node_dewey:(Posting.node p)
-                 with
-                 | Some (lo, hi) -> Posting.abs_pos p >= lo && Posting.abs_pos p <= hi
-                 | None -> false)
-               ps)
-        idx true)
+      List.for_all
+        (fun w ->
+          List.for_all
+            (fun p ->
+              match
+                Inverted.node_extent idx ~doc:(Posting.doc p)
+                  ~node_dewey:(Posting.node p)
+              with
+              | Some (lo, hi) -> Posting.abs_pos p >= lo && Posting.abs_pos p <= hi
+              | None -> false)
+            (Inverted.postings idx w))
+        (Inverted.distinct_words idx))
 
 let tests =
   [

@@ -560,13 +560,16 @@ let test_client_backoff_retries () =
       let e = ok_failure "shed" (Client.query ~socket_path:sock q) in
       Alcotest.(check string) "shed code" "gtlx:GTLX0009" e.Protocol.code;
       (* with retries: the first backoff sleep releases the jam, the retry
-         is served.  jitter is pinned to the deterministic upper bound, so
-         the recorded delays are exactly base * 2^(k-1), base = the
-         server's own retry-after hint (40ms) *)
+         is served.  The sleep returns only once the worker has taken
+         [fill] off the queue, so the retry finds room instead of racing
+         the drain and being shed again.  jitter is pinned to the
+         deterministic upper bound, so the recorded delays are exactly
+         base * 2^(k-1), base = the server's own retry-after hint (40ms) *)
       let slept = ref [] in
       let sleep d =
         slept := d :: !slept;
-        open_gate g
+        open_gate g;
+        poll "queue drained" (fun () -> stat t "queue_depth" = 0)
       in
       let v =
         ok_value "served after retry"

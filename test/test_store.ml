@@ -1,7 +1,10 @@
 (* The persistent-store robustness contract:
 
-   1. save |> load is the identity on indexes (qcheck over random corpora,
-      plus empty-index and multi-segment-word edge cases);
+   1. save |> load is the identity on indexes (qcheck over random corpora
+      and random XML exercising every construct the stored source must
+      reproduce, plus the empty index and a non-default tokenizer
+      configuration): load re-derives the index from the stored sources,
+      so this is the invariant the whole format rests on;
    2. a fault injected at *any* I/O operation of a save or a load yields
       exactly one of: an exact round trip, a salvage with a damage report
       (still exact, given sources), or a structured gtlx: storage error —
@@ -100,21 +103,6 @@ let test_roundtrip_empty () =
       Alcotest.(check bool) "clean report" true (Store.clean l.Store.report);
       check_same "empty round trip" index l.Store.index)
 
-let test_roundtrip_multi_segment () =
-  (* segment_postings = 1 forces every word's postings to spill across
-     consecutive single-posting segments *)
-  let index = corpus_index () in
-  with_dir (fun dir ->
-      Store.save ~segment_postings:1 ~dir index;
-      Alcotest.(check bool)
-        "several posting segments" true
-        (Array.to_list (Sys.readdir dir)
-        |> List.filter (fun f -> String.length f > 5 && String.sub f 0 5 = "post-")
-        |> List.length > 1);
-      let l = Store.load ~dir () in
-      Alcotest.(check bool) "clean report" true (Store.clean l.Store.report);
-      check_same "multi-segment round trip" index l.Store.index)
-
 let test_save_replaces_previous () =
   with_dir (fun dir ->
       let a = corpus_index () in
@@ -145,15 +133,107 @@ let gen_profile =
       vocab_size = vocab;
     }
 
+(* Random XML with the constructs a print/parse round trip of the stored
+   source must preserve: entity and character references, CDATA,
+   comments, processing instructions, attributes, mixed content and
+   whitespace-only text. *)
+let gen_xml_source =
+  let open QCheck2.Gen in
+  let word =
+    oneofl
+      [ "usability"; "software"; "web"; "design"; "testing"; "goals";
+        "AT&amp;T"; "caf&#233;"; "&#x41;BC"; "&lt;tag&gt;"; "it&apos;s";
+        "&quot;quoted&quot;"; "x&#10;y"; "one.&#32;Two" ]
+  in
+  let text = map (String.concat " ") (list_size (int_range 1 5) word) in
+  let plain = oneofl [ "note"; "a b c"; "x < y & z"; "]] >" ] in
+  let leaf =
+    frequency
+      [
+        (4, text);
+        (2, oneofl [ " "; "\n"; "  \n\t "; "\r\n" ]);
+        (1, map (Printf.sprintf "<![CDATA[%s]]>") plain);
+        (1, map (Printf.sprintf "<!--%s-->") (oneofl [ "c"; " -x- "; "a<b" ]));
+        ( 1,
+          map (Printf.sprintf "<?pi %s?>") (oneofl [ ""; "k=\"v\""; "a  b" ]) );
+      ]
+  in
+  let attr name =
+    map
+      (Option.fold ~none:"" ~some:(Printf.sprintf " %s=\"%s\"" name))
+      (option text)
+  in
+  let rec node depth =
+    if depth = 0 then leaf
+    else
+      frequency
+        [
+          (3, leaf);
+          ( 2,
+            let* name = oneofl [ "p"; "title"; "section"; "b"; "note" ] in
+            let* id = attr "id" in
+            let* lang = oneofl [ ""; " lang='en'"; " lang='x&#34;y'" ] in
+            let* kids = list_size (int_range 0 4) (node (depth - 1)) in
+            return
+              (Printf.sprintf "<%s%s%s>%s</%s>" name id lang
+                 (String.concat "" kids) name) );
+        ]
+  in
+  let* kids = list_size (int_range 1 6) (node 3) in
+  let* prolog = oneofl [ ""; "<?xml version=\"1.0\"?>\n<!-- prolog -->\n" ] in
+  return (Printf.sprintf "%s<doc>%s</doc>" prolog (String.concat "" kids))
+
+let gen_corpus =
+  let open QCheck2.Gen in
+  oneof
+    [
+      map Corpus.Generator.index_books gen_profile;
+      map
+        (fun srcs ->
+          Indexer.index_strings
+            (List.mapi (fun i src -> (Printf.sprintf "x%d.xml" i, src)) srcs))
+        (list_size (int_range 1 4) gen_xml_source);
+    ]
+
 let prop_roundtrip_id =
-  QCheck2.Test.make ~name:"Store.save |> Store.load = id" ~count:25
-    QCheck2.Gen.(pair gen_profile (int_range 1 64))
-    (fun (profile, segment_postings) ->
-      let index = Corpus.Generator.index_books profile in
+  QCheck2.Test.make ~name:"Store.save |> Store.load = id" ~count:25 gen_corpus
+    (fun index ->
       with_dir (fun dir ->
-          Store.save ~segment_postings ~dir index;
+          Store.save ~dir index;
           let l = Store.load ~dir () in
           Store.clean l.Store.report && index_eq index l.Store.index))
+
+(* Paragraph ids are not covered by the manifest's token counts, so only
+   an index comparison shows that a non-default tokenizer configuration
+   is carried through save, load and a second save. *)
+let test_roundtrip_config () =
+  let config =
+    {
+      Tokenize.Segmenter.paragraph_elements = [ "title"; "section" ];
+      ignore_elements = [ "note" ];
+    }
+  in
+  let sources =
+    [
+      ( "cfg.xml",
+        "<book><title>Usability testing</title><section>Software \
+         usability<note>skipped words</note> and testing.</section>\
+         <p>web site design</p></book>" );
+    ]
+  in
+  let fresh = Galatex.Engine.of_strings ~config sources in
+  Alcotest.(check bool)
+    "the configuration changes the index" false
+    (index_eq (Galatex.Engine.index fresh) (Indexer.index_strings sources));
+  with_dir (fun dir ->
+      Galatex.Engine.save fresh ~dir;
+      let loaded = Galatex.Engine.of_store ~dir () in
+      check_same "configured round trip" (Galatex.Engine.index fresh)
+        (Galatex.Engine.index loaded);
+      Galatex.Engine.save loaded ~dir;
+      check_same "configuration survives a re-save"
+        (Galatex.Engine.index fresh)
+        (Galatex.Engine.index (Galatex.Engine.of_store ~dir ())))
 
 (* --- fault sweeps ---
 
@@ -373,6 +453,40 @@ let test_version_mismatch () =
       patch_file (Filename.concat dir Store.manifest_name) 8 (fun _ -> '\xfe');
       expect_load_code "version mismatch" Xquery.Errors.GTLX0007 dir)
 
+(* A directory holding another format version is refused by save as well
+   as by load: read as "no manifest", it would restart the fencing epoch
+   at 1 and move it backwards. *)
+let test_save_refuses_other_version () =
+  with_dir (fun dir ->
+      Unix.mkdir dir 0o755;
+      let payload = "a version-1 manifest payload" in
+      let b = Buffer.create 64 in
+      Buffer.add_string b Store.format_magic;
+      let add_le n v =
+        for i = 0 to n - 1 do
+          Buffer.add_char b (Char.chr ((v lsr (8 * i)) land 0xFF))
+        done
+      in
+      add_le 4 1;
+      Buffer.add_char b 'M';
+      add_le 8 (String.length payload);
+      Buffer.add_string b payload;
+      add_le 4 (Store.crc32 payload);
+      let path = Filename.concat dir Store.manifest_name in
+      let frame = Buffer.contents b in
+      Out_channel.with_open_bin path (fun oc -> output_string oc frame);
+      (match Store.save ~dir (corpus_index ()) with
+      | () -> Alcotest.fail "save over a version-1 snapshot must be refused"
+      | exception Xquery.Errors.Error e ->
+          Alcotest.(check string)
+            "save refusal code" "gtlx:GTLX0007"
+            (Xquery.Errors.code_string e.Xquery.Errors.code));
+      Alcotest.(check string)
+        "version-1 manifest untouched" frame
+        (In_channel.with_open_bin path In_channel.input_all);
+      expect_load_code "load of a version-1 snapshot" Xquery.Errors.GTLX0007
+        dir)
+
 let test_missing_manifest () =
   let index = corpus_index () in
   with_dir (fun dir ->
@@ -407,6 +521,35 @@ let test_damaged_doc_without_sources_is_fatal () =
         [ fst (List.hd corpus_sources) ]
         l.Store.report.Store.reindexed;
       check_same "salvaged exactly" index l.Store.index)
+
+(* A document segment that is intact (valid frame and CRC) but whose
+   source no longer yields the manifest's token count: the derivation
+   check flags it, and it is salvaged or fatal like any other damage. *)
+let test_token_count_mismatch () =
+  let index = corpus_index () in
+  let other =
+    Indexer.index_strings
+      [ ("a.xml", "<book><title>Replaced</title><p>fewer words</p></book>");
+        List.nth corpus_sources 1 ]
+  in
+  with_dir (fun donor ->
+      with_dir (fun dir ->
+          Store.save ~dir index;
+          Store.save ~dir:donor other;
+          let seg =
+            List.find (fun f -> f <> Store.manifest_name) (snapshot_files dir)
+          in
+          Out_channel.with_open_bin (Filename.concat dir seg) (fun oc ->
+              output_string oc
+                (In_channel.with_open_bin (Filename.concat donor seg)
+                   In_channel.input_all));
+          expect_load_code "count mismatch, no sources" Xquery.Errors.GTLX0006
+            dir;
+          let l = Store.load ~sources:corpus_sources ~dir () in
+          Alcotest.(check (list string))
+            "re-indexed the inconsistent document" [ "a.xml" ]
+            l.Store.report.Store.reindexed;
+          check_same "salvaged exactly" index l.Store.index))
 
 (* --- the governor applies to loading too --- *)
 
@@ -554,12 +697,12 @@ let test_engine_roundtrip_query () =
         "loaded engine answers identically" expected
         (Xquery.Value.to_display_string (Galatex.Engine.run loaded usecase_query));
       (* and after salvage from real corruption, still identical *)
-      let post_seg =
+      let doc_seg =
         List.find
-          (fun f -> String.length f > 5 && String.sub f 0 5 = "post-")
+          (fun f -> String.length f > 4 && String.sub f 0 4 = "doc-")
           (snapshot_files dir)
       in
-      patch_file (Filename.concat dir post_seg) 30 (fun c ->
+      patch_file (Filename.concat dir doc_seg) 30 (fun c ->
           Char.chr (Char.code c lxor 0x20));
       let salvaged = Galatex.Engine.of_store ~sources:corpus_sources ~dir () in
       (match Galatex.Engine.salvage_report salvaged with
@@ -642,8 +785,8 @@ let tests =
     Alcotest.test_case "concurrent writer vs reader generations" `Quick
       test_concurrent_generations;
     Alcotest.test_case "round trip (empty index)" `Quick test_roundtrip_empty;
-    Alcotest.test_case "round trip (multi-segment words)" `Quick
-      test_roundtrip_multi_segment;
+    Alcotest.test_case "round trip (non-default tokenizer config)" `Quick
+      test_roundtrip_config;
     Alcotest.test_case "second save replaces first" `Quick
       test_save_replaces_previous;
     QCheck_alcotest.to_alcotest prop_roundtrip_id;
@@ -654,11 +797,15 @@ let tests =
     Alcotest.test_case "on-disk corruption sweep" `Slow test_corruption_sweep;
     Alcotest.test_case "version mismatch (GTLX0007)" `Quick
       test_version_mismatch;
+    Alcotest.test_case "save refuses another format version (GTLX0007)" `Quick
+      test_save_refuses_other_version;
     Alcotest.test_case "missing manifest (GTLX0008)" `Quick
       test_missing_manifest;
     Alcotest.test_case "not a snapshot (GTLX0008)" `Quick test_not_a_snapshot;
     Alcotest.test_case "unsalvageable doc (GTLX0006) vs sources" `Quick
       test_damaged_doc_without_sources_is_fatal;
+    Alcotest.test_case "token counts checked against the manifest" `Quick
+      test_token_count_mismatch;
     Alcotest.test_case "deadline applies to load (GTLX0004)" `Quick
       test_load_deadline;
     Alcotest.test_case "fencing epoch round trip" `Quick test_epoch_roundtrip;
