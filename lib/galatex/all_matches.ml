@@ -28,8 +28,17 @@ let empty = { matches = []; anchors = [] }
 
 let entry ?(query_pos = 1) posting = { query_pos; posting }
 
+let compare_entries a b = Ftindex.Posting.compare_pos a.posting b.posting
+
+let rec is_sorted = function
+  | a :: (b :: _ as rest) -> compare_entries a b <= 0 && is_sorted rest
+  | [] | [ _ ] -> true
+
+(* Include lists almost always arrive sorted (a phrase occurrence is a run
+   of increasing positions in one document; FTAnd merges two sorted
+   lists), so one linear check usually replaces the sort. *)
 let sort_entries entries =
-  List.sort (fun a b -> Ftindex.Posting.compare_pos a.posting b.posting) entries
+  if is_sorted entries then entries else List.stable_sort compare_entries entries
 
 let make_match ?(excludes = []) ?(score = 1.0) includes =
   { includes = sort_entries includes; excludes; score }

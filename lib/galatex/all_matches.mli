@@ -28,7 +28,11 @@ val empty : t
 val entry : ?query_pos:int -> Ftindex.Posting.t -> entry
 
 val make_match : ?excludes:entry list -> ?score:float -> entry list -> match_
-(** Build a match; includes are sorted. [score] defaults to 1.0. *)
+(** Build a match; includes are sorted (a linear check first, so an
+    already-sorted list is kept as is). [score] defaults to 1.0. *)
+
+val compare_entries : entry -> entry -> int
+(** {!Ftindex.Posting.compare_pos} on the entries' postings. *)
 
 val of_matches : match_ list -> t
 

@@ -34,18 +34,31 @@ let find_thesaurus t = function
   | None -> t.default_thesaurus
   | Some name -> List.assoc_opt name t.thesauri
 
+(* Entries are added per distinct (token, options, thesaurus terms) key, so
+   a long-running read-only daemon would grow the table without limit from
+   user query tokens.  When it is full it starts over: expansion is
+   deterministic, so dropping entries only costs recomputation. *)
+let expansion_cache_capacity = 4096
+
 let locked t f =
   Mutex.lock t.cache_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.cache_lock) f
 
 let cached t key compute =
-  match locked t (fun () -> Hashtbl.find_opt t.expansion_cache key) with
+  (* [Hashtbl.find_opt] on a string key cannot raise: no [Fun.protect] *)
+  Mutex.lock t.cache_lock;
+  let hit = Hashtbl.find_opt t.expansion_cache key in
+  Mutex.unlock t.cache_lock;
+  match hit with
   | Some v -> v
   | None ->
       (* compute outside the lock: expansions can scan the whole
          distinct-word list, and the result is deterministic *)
       let v = compute () in
-      locked t (fun () -> Hashtbl.replace t.expansion_cache key v);
+      locked t (fun () ->
+          if Hashtbl.length t.expansion_cache >= expansion_cache_capacity then
+            Hashtbl.reset t.expansion_cache;
+          Hashtbl.replace t.expansion_cache key v);
       v
 
 let clear_cache t = locked t (fun () -> Hashtbl.reset t.expansion_cache)

@@ -22,8 +22,13 @@ val index : t -> Ftindex.Inverted.t
 val find_thesaurus : t -> string option -> Tokenize.Thesaurus.t option
 (** [None] selects the default thesaurus; [Some name] a registered one. *)
 
+val expansion_cache_capacity : int
+(** The most entries [expansion_cache] ever holds: a miss on a full table
+    empties it before inserting. *)
+
 val cached : t -> string -> (unit -> string list) -> string list
-(** Memoized word-expansion lookup keyed by token + option signature.
+(** Memoized word-expansion lookup keyed by token + option signature,
+    bounded by {!expansion_cache_capacity}.
     Thread-safe: the memo table is mutex-guarded and [compute] (which is
     deterministic) runs outside the lock. *)
 

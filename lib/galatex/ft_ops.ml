@@ -28,42 +28,94 @@ let clamp_score s = if s <= 0.0 then epsilon_float else if s > 1.0 then 1.0 else
 
 (* --- FTWords --- *)
 
+(* Merge lists that are each sorted by [Posting.compare_pos], pairwise so
+   k lists of n postings cost O(n log k).  The lists come from distinct
+   words, so no two share a position and the merge order is the sort
+   order. *)
+let rec merge_sorted = function
+  | [] -> []
+  | [ l ] -> l
+  | lists ->
+      let rec pairs = function
+        | a :: b :: rest -> List.merge Ftindex.Posting.compare_pos a b :: pairs rest
+        | short -> short
+      in
+      merge_sorted (pairs lists)
+
+(* The context grouped by document, documents in uri order (the
+   document order of [Posting.compare_pos]), each with its node labels. *)
+let context_by_doc = function
+  | [ (doc, dewey) ] -> [ (doc, [ dewey ]) ]
+  | nodes ->
+      let rec group acc = function
+        | [] -> List.rev acc
+        | (doc, dewey) :: rest -> (
+            match acc with
+            | (d, deweys) :: acc' when String.equal d doc ->
+                group ((d, dewey :: deweys) :: acc') rest
+            | _ -> group ((doc, [ dewey ]) :: acc) rest)
+      in
+      group [] (List.stable_sort (fun (a, _) (b, _) -> String.compare a b) nodes)
+
+let rec inside_any p = function
+  | [] -> false
+  | dewey :: rest ->
+      Xmlkit.Dewey.contains dewey (Ftindex.Posting.node p) || inside_any p rest
+
+(* [List.filter] that returns the list itself when every element passes —
+   the usual case for a posting slice under a whole-document context *)
+let filter_shared keep l = if List.for_all keep l then l else List.filter keep l
+
 (* [within]: the evaluation context as (doc, dewey) pairs.  Like the
    paper's getTokenInfo, positions outside every context node are dropped at
    the source — they could never satisfy an FTContains/ft:score over that
    context, so this is semantics-preserving and avoids materializing
    irrelevant matches.  The index is keyed by document, so with a context
-   only the context documents' postings are fetched at all. *)
+   only the context documents' postings are fetched at all, and each
+   document's slice of a word comes out in position order: merging the
+   keys' slices per document, documents in uri order, is already sorted.
+   Every inverted-list entry a leaf pulls is counted as [postings_read]
+   before context/option filtering — the paper's IO-side cost. *)
 let posting_entries ?g ?within env expansion =
   let index = Env.index env in
   let keys = expansion.Match_options.keys in
-  let pulled, in_context =
-    match within with
-    | None -> (List.concat_map (Ftindex.Inverted.postings index) keys, fun _ -> true)
-    | Some nodes ->
-        let by_doc = Hashtbl.create 8 in
-        List.iter
-          (fun (doc, dewey) ->
-            Hashtbl.replace by_doc doc
-              (dewey :: Option.value ~default:[] (Hashtbl.find_opt by_doc doc)))
-          nodes;
-        ( Hashtbl.fold
-            (fun doc _ acc ->
-              List.concat_map (Ftindex.Inverted.postings_of_doc index ~doc) keys
-              @ acc)
-            by_doc [],
-          fun p ->
-            List.exists
-              (fun dewey -> Xmlkit.Dewey.contains dewey (Ftindex.Posting.node p))
-              (Hashtbl.find by_doc (Ftindex.Posting.doc p)) )
+  let accept = expansion.Match_options.accept in
+  let count pulled =
+    match g with
+    | Some g -> Xquery.Limits.count_postings g (List.length pulled)
+    | None -> ()
   in
-  (* the observability hook: every inverted-list entry this leaf pulled,
-     counted before context/option filtering — the paper's IO-side cost *)
-  (match g with
-  | Some g -> Xquery.Limits.count_postings g (List.length pulled)
-  | None -> ());
-  List.filter (fun p -> expansion.Match_options.accept p && in_context p) pulled
-  |> List.sort Ftindex.Posting.compare_pos
+  match within with
+  | None ->
+      let pulled = List.concat_map (Ftindex.Inverted.postings index) keys in
+      count pulled;
+      List.filter accept pulled |> List.sort Ftindex.Posting.compare_pos
+  | Some nodes ->
+      List.concat_map
+        (fun (doc, deweys) ->
+          let pulled =
+            merge_sorted
+              (List.map (Ftindex.Inverted.postings_of_doc index ~doc) keys)
+          in
+          count pulled;
+          filter_shared (fun p -> accept p && inside_any p deweys) pulled)
+        (context_by_doc nodes)
+
+(* The posting at (doc, pos) in an array sorted by [Posting.compare_pos]. *)
+let find_at postings ~doc ~pos =
+  let rec search lo hi =
+    if lo >= hi then None
+    else
+      let mid = (lo + hi) / 2 in
+      let p = postings.(mid) in
+      let c =
+        match String.compare doc (Ftindex.Posting.doc p) with
+        | 0 -> Int.compare pos (Ftindex.Posting.abs_pos p)
+        | c -> c
+      in
+      if c = 0 then Some p else if c < 0 then search lo mid else search (mid + 1) hi
+  in
+  search 0 (Array.length postings)
 
 (* Occurrences of a phrase: tokens must appear consecutively; tokens that
    are stop words (under the active stop-word list) are dropped and allow a
@@ -85,45 +137,40 @@ let phrase_occurrences ?g ?within env resolved tokens =
   | [] -> []
   | (_, first) :: rest ->
       let first_postings = posting_entries ?g ?within env first in
-      (* index follower postings by (doc, position) for O(1) extension *)
-      let follower_tables =
+      (* follower postings, sorted by (doc, position), are searched by
+         binary search for each extension step *)
+      let followers =
         List.map
-          (fun (gap, e) ->
-            let tbl = Hashtbl.create 64 in
-            List.iter
-              (fun p ->
-                Hashtbl.replace tbl (Ftindex.Posting.doc p, Ftindex.Posting.abs_pos p) p)
-              (posting_entries ?g ?within env e);
-            (gap, tbl))
+          (fun (gap, e) -> (gap, Array.of_list (posting_entries ?g ?within env e)))
           rest
       in
-      List.filter_map
-        (fun p0 ->
-          let rec extend acc prev_pos = function
-            | [] -> Some (List.rev acc)
-            | (gap, tbl) :: more ->
-                (* allowed next positions: adjacent, plus up to [gap] skipped
-                   stop-word slots *)
-                let rec try_delta d =
-                  if d > gap + 1 then None
-                  else
-                    match
-                      Hashtbl.find_opt tbl (Ftindex.Posting.doc p0, prev_pos + d)
-                    with
-                    | Some p -> Some p
-                    | None -> try_delta (d + 1)
-                in
-                (match try_delta 1 with
-                | Some p -> extend (p :: acc) (Ftindex.Posting.abs_pos p) more
-                | None -> None)
-          in
-          match extend [ p0 ] (Ftindex.Posting.abs_pos p0) follower_tables with
-          | Some postings -> Some postings
-          | None -> None)
-        first_postings
+      (* a one-word phrase: every posting is an occurrence *)
+      if followers = [] then List.map (fun p -> [ p ]) first_postings
+      else
+        List.filter_map
+          (fun p0 ->
+            let doc = Ftindex.Posting.doc p0 in
+            let rec extend acc prev_pos = function
+              | [] -> Some (List.rev acc)
+              | (gap, postings) :: more ->
+                  (* allowed next positions: adjacent, plus up to [gap] skipped
+                     stop-word slots *)
+                  let rec try_delta d =
+                    if d > gap + 1 then None
+                    else
+                      match find_at postings ~doc ~pos:(prev_pos + d) with
+                      | None -> try_delta (d + 1)
+                      | found -> found
+                  in
+                  (match try_delta 1 with
+                  | Some p -> extend (p :: acc) (Ftindex.Posting.abs_pos p) more
+                  | None -> None)
+            in
+            extend [ p0 ] (Ftindex.Posting.abs_pos p0) followers)
+          first_postings
 
 let match_of_postings ~query_pos ~weight postings =
-  let includes = List.map (fun p -> entry ~query_pos p) postings in
+  let includes = List.map (fun posting -> { query_pos; posting }) postings in
   let base =
     List.fold_left (fun acc p -> acc *. Ftindex.Posting.score p) 1.0 postings
   in
@@ -155,18 +202,23 @@ let phrase_matches ?g ?within env resolved ~query_pos ~weight phrase =
 let ft_or a b =
   { matches = a.matches @ b.matches; anchors = a.anchors @ b.anchors }
 
+(* One FTAnd product match.  Both include lists are sorted, so merging
+   them gives exactly the order (ties: left entries first) that sorting
+   their concatenation would. *)
+let and_match ma mb =
+  {
+    includes = List.merge compare_entries ma.includes mb.includes;
+    excludes = ma.excludes @ mb.excludes;
+    score = clamp_score (ma.score *. mb.score);
+  }
+
+(* the cross product in (a, b) order, built back to front *)
 let ft_and a b =
+  let rev_b = List.rev b.matches in
   let matches =
-    List.concat_map
-      (fun ma ->
-        List.map
-          (fun mb ->
-            make_match
-              ~excludes:(ma.excludes @ mb.excludes)
-              ~score:(clamp_score (ma.score *. mb.score))
-              (ma.includes @ mb.includes))
-          b.matches)
-      a.matches
+    List.fold_left
+      (fun acc ma -> List.fold_left (fun acc mb -> and_match ma mb :: acc) acc rev_b)
+      [] (List.rev a.matches)
   in
   { matches; anchors = a.anchors @ b.anchors }
 
@@ -640,23 +692,41 @@ let anchors_ok env ~doc ~node_dewey anchors m =
               | Xquery.Ast.Entire_content -> lo = first && hi = last)
             anchors)
 
+let rec all_in_node index ~doc ~node_dewey = function
+  | [] -> true
+  | e :: rest ->
+      entry_in_node index e ~doc ~node_dewey && all_in_node index ~doc ~node_dewey rest
+
+let rec any_in_node index ~doc ~node_dewey = function
+  | [] -> false
+  | e :: rest ->
+      entry_in_node index e ~doc ~node_dewey || any_in_node index ~doc ~node_dewey rest
+
 let satisfies_match env ~doc ~node_dewey anchors m =
   let index = Env.index env in
-  List.for_all (entry_in_node index ~doc ~node_dewey) m.includes
-  && (not (List.exists (entry_in_node index ~doc ~node_dewey) m.excludes))
+  all_in_node index ~doc ~node_dewey m.includes
+  && (not (any_in_node index ~doc ~node_dewey m.excludes))
   && anchors_ok env ~doc ~node_dewey anchors m
+
+(* satisfiesMatch against one node; [None] when the node belongs to no
+   indexed document (it satisfies nothing) *)
+let satisfies_in env node anchors =
+  let node_dewey = Xmlkit.Node.dewey node in
+  Option.map
+    (fun doc -> satisfies_match env ~doc ~node_dewey anchors)
+    (Ftindex.Inverted.doc_of_node (Env.index env) node)
 
 (* Matches a node satisfies — used both by FTContains (non-empty?) and by
    per-node scoring. *)
 let matches_for_node env node a =
-  let index = Env.index env in
-  match Ftindex.Inverted.doc_of_node index node with
+  match satisfies_in env node a.anchors with
   | None -> []
-  | Some doc ->
-      let node_dewey = Xmlkit.Node.dewey node in
-      List.filter (satisfies_match env ~doc ~node_dewey a.anchors) a.matches
+  | Some satisfies -> List.filter satisfies a.matches
 
-let node_satisfies env node a = matches_for_node env node a <> []
+let node_satisfies env node a =
+  match satisfies_in env node a.anchors with
+  | None -> false
+  | Some satisfies -> List.exists satisfies a.matches
 
 let ft_contains env nodes a = List.exists (fun n -> node_satisfies env n a) nodes
 

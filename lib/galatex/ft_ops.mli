@@ -36,6 +36,18 @@ val phrase_tokens : Match_options.resolved -> string -> string list
 (** Tokenize a search phrase; under wildcards / special characters the
     pattern characters stay inside the tokens (whitespace split only). *)
 
+val posting_entries :
+  ?g:Xquery.Limits.governor ->
+  ?within:(string * Xmlkit.Dewey.t) list ->
+  Env.t ->
+  Match_options.expansion ->
+  Ftindex.Posting.t list
+(** The postings of one expanded search token that pass its surface
+    predicate and lie inside a [within] node, sorted by
+    {!Ftindex.Posting.compare_pos}.  With [within], only the context
+    documents' slices are read and they are merged, not sorted.  [g]
+    accounts every entry read (before filtering) as [postings_read]. *)
+
 val phrase_occurrences :
   ?g:Xquery.Limits.governor ->
   ?within:(string * Xmlkit.Dewey.t) list ->
@@ -66,6 +78,11 @@ val phrase_matches :
 
 val ft_or : All_matches.t -> All_matches.t -> All_matches.t
 val ft_and : All_matches.t -> All_matches.t -> All_matches.t
+(** Cross product in (left, right) order; see {!and_match}. *)
+
+val and_match : All_matches.match_ -> All_matches.match_ -> All_matches.match_
+(** One product match: merged includes, concatenated excludes, product
+    score. *)
 
 val ft_unary_not : All_matches.t -> All_matches.t
 (** DNF negation: one flipped entry chosen from every input match. *)
@@ -128,6 +145,12 @@ val satisfies_match :
   All_matches.match_ ->
   bool
 (** Every include inside the node, no exclude inside it, anchors hold. *)
+
+val satisfies_in :
+  Env.t -> Xmlkit.Node.t -> Xquery.Ast.ft_anchor list ->
+  (All_matches.match_ -> bool) option
+(** {!satisfies_match} against one node; [None] when the node belongs to
+    no indexed document (it then satisfies no match). *)
 
 val matches_for_node : Env.t -> Xmlkit.Node.t -> All_matches.t -> All_matches.match_ list
 val node_satisfies : Env.t -> Xmlkit.Node.t -> All_matches.t -> bool

@@ -63,18 +63,7 @@ let words_stream ?g ?within env resolved ~query_pos ~weight anyall phrases =
             (fun acc seq ->
               let materialized = List.of_seq seq in
               Seq.concat_map
-                (fun ma ->
-                  List.to_seq
-                    (List.map
-                       (fun mb ->
-                         All_matches.make_match
-                           ~excludes:
-                             (ma.All_matches.excludes @ mb.All_matches.excludes)
-                           ~score:
-                             (Ft_ops.clamp_score
-                                (ma.All_matches.score *. mb.All_matches.score))
-                           (ma.All_matches.includes @ mb.All_matches.includes))
-                       materialized))
+                (fun ma -> List.to_seq (List.map (Ft_ops.and_match ma) materialized))
                 acc)
             first rest)
 
@@ -89,17 +78,7 @@ let ft_and a b =
   {
     seq =
       Seq.concat_map
-        (fun ma ->
-          List.to_seq
-            (List.map
-               (fun mb ->
-                 All_matches.make_match
-                   ~excludes:(ma.All_matches.excludes @ mb.All_matches.excludes)
-                   ~score:
-                     (Ft_ops.clamp_score
-                        (ma.All_matches.score *. mb.All_matches.score))
-                   (ma.All_matches.includes @ mb.All_matches.includes))
-               b_matches))
+        (fun ma -> List.to_seq (List.map (Ft_ops.and_match ma) b_matches))
         a.seq;
     anchors = a.anchors @ b.anchors;
     pulled = 0;

@@ -64,7 +64,8 @@ let is_stop_word resolved word =
   | None -> false
   | Some set -> Tokenize.Stopwords.Set.mem set word
 
-(* A stable signature for the expansion cache. *)
+(* A stable signature for the expansion cache.  Computed for every leaf
+   at every context node, so it is plain concatenation, not [Printf]. *)
 let signature resolved =
   let case =
     match resolved.case with
@@ -73,16 +74,27 @@ let signature resolved =
     | Case_lower -> "cl"
     | Case_upper -> "cu"
   in
-  Printf.sprintf "%s|%b|%b|%b|%b|%s|%s" case resolved.diacritics_sensitive
-    resolved.stemming resolved.wildcards resolved.special_chars
-    (match resolved.thesaurus with
+  let thesaurus =
+    match resolved.thesaurus with
     | None -> "-"
     | Some t ->
-        Printf.sprintf "%s/%s/%d"
-          (Option.value ~default:"default" t.Xquery.Ast.th_name)
-          (Option.value ~default:"*" t.Xquery.Ast.th_relationship)
-          (Option.value ~default:1 t.Xquery.Ast.th_levels))
-    resolved.language
+        String.concat "/"
+          [
+            Option.value ~default:"default" t.Xquery.Ast.th_name;
+            Option.value ~default:"*" t.Xquery.Ast.th_relationship;
+            string_of_int (Option.value ~default:1 t.Xquery.Ast.th_levels);
+          ]
+  in
+  String.concat "|"
+    [
+      case;
+      string_of_bool resolved.diacritics_sensitive;
+      string_of_bool resolved.stemming;
+      string_of_bool resolved.wildcards;
+      string_of_bool resolved.special_chars;
+      thesaurus;
+      resolved.language;
+    ]
 
 (* The expansion of one query token under the resolved options: which
    distinct document words (index keys) it matches, plus a posting-level
@@ -162,6 +174,9 @@ let expand env resolved token =
           (fun dw -> List.exists (fun term -> key_matches resolved term dw) terms)
           all)
   in
-  let accepts = List.map (surface_predicate resolved) terms in
-  let accept p = List.exists (fun f -> f p) accepts in
+  let accept =
+    match List.map (surface_predicate resolved) terms with
+    | [ f ] -> f
+    | accepts -> fun p -> List.exists (fun f -> f p) accepts
+  in
   { token; is_stop; keys; accept }

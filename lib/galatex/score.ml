@@ -15,14 +15,38 @@ let compose_max scores = List.fold_left Float.max 0.0 scores
 
 let compose = function Noisy_or -> compose_noisy_or | Max -> compose_max
 
-(* Score of one node against a final AllMatches. *)
+(* Score of one node against a final AllMatches, in one pass over the
+   matches without collecting the satisfied ones.  Scores are combined
+   while the recursion unwinds, i.e. from the last match back: the
+   right-associated order of [compose_noisy_or], so the score is
+   bit-identical (max is exact in any order). *)
+type acc = { mutable acc : float }
+
 let node_score ?(composition = Noisy_or) env node am =
-  match Ft_ops.matches_for_node env node am with
-  | [] -> 0.0
-  | ms ->
-      let s = compose composition (List.map (fun m -> m.All_matches.score) ms) in
-      (* requirement (i): a satisfying node scores in (0,1] *)
-      if s <= 0.0 then epsilon_float else if s > 1.0 then 1.0 else s
+  match Ft_ops.satisfies_in env node am.All_matches.anchors with
+  | None -> 0.0
+  | Some satisfies ->
+      let satisfied = ref 0 in
+      let r = { acc = (match composition with Noisy_or -> 1.0 | Max -> 0.0) } in
+      let rec from_last = function
+        | [] -> ()
+        | (m : All_matches.match_) :: rest ->
+            from_last rest;
+            if satisfies m then begin
+              incr satisfied;
+              let s = m.All_matches.score in
+              r.acc <-
+                (match composition with
+                | Noisy_or -> (1.0 -. s) *. r.acc
+                | Max -> Float.max r.acc s)
+            end
+      in
+      from_last am.All_matches.matches;
+      if !satisfied = 0 then 0.0
+      else
+        let s = match composition with Noisy_or -> 1.0 -. r.acc | Max -> r.acc in
+        (* requirement (i): a satisfying node scores in (0,1] *)
+        if s <= 0.0 then epsilon_float else if s > 1.0 then 1.0 else s
 
 let scores ?composition env nodes am =
   List.map (fun n -> node_score ?composition env n am) nodes

@@ -26,7 +26,6 @@ let sorted_matches (am : All_matches.t) =
 let suffix_complements matches =
   let n = List.length matches in
   let arr = Array.make (n + 1) 1.0 in
-  List.iteri (fun _ _ -> ()) matches;
   let rec fill i = function
     | [] -> ()
     | (m : All_matches.match_) :: rest ->
@@ -112,18 +111,20 @@ let top_k_pruned env nodes am k =
       universal
   in
   let universal_suffix = suffix_complements universal_sorted in
-  (* current top-k kept as a sorted (ascending) list of size <= k *)
-  let top = ref [] in
+  (* current top-k kept as a sorted (ascending) list of [size] <= k
+     results; the threshold is read on every match test, so the size is
+     counted, not measured *)
+  let top = ref [] and size = ref 0 in
   let threshold () =
-    if List.length !top < k then 0.0
-    else match !top with r :: _ -> r.score | [] -> 0.0
+    if !size < k then 0.0 else match !top with r :: _ -> r.score | [] -> 0.0
   in
   let insert r =
-    let merged =
-      List.sort (fun a b -> compare a.score b.score) (r :: !top)
-    in
-    top :=
-      (if List.length merged > k then List.tl merged else merged)
+    let merged = List.sort (fun a b -> compare a.score b.score) (r :: !top) in
+    if !size >= k then top := List.tl merged
+    else begin
+      top := merged;
+      incr size
+    end
   in
   List.iter
     (fun ((n, doc, node_dewey) : Xmlkit.Node.t * string * Xmlkit.Dewey.t) ->

@@ -77,3 +77,13 @@ let node_test (test : Ast.node_test) n =
 
 let step_nodes axis test n =
   List.filter (node_test test) (apply axis n)
+
+(* descendant::test in document order, in one pre-order walk that keeps
+   only the matching nodes *)
+let descendants_matching test n =
+  let rec walk acc node =
+    List.fold_left
+      (fun acc c -> walk (if node_test test c then c :: acc else acc) c)
+      acc (Node.children node)
+  in
+  List.rev (walk [] n)

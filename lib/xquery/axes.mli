@@ -24,3 +24,7 @@ val following_sibling : Xmlkit.Node.t -> Xmlkit.Node.t list
 val preceding_sibling : Xmlkit.Node.t -> Xmlkit.Node.t list
 val following : Xmlkit.Node.t -> Xmlkit.Node.t list
 val preceding : Xmlkit.Node.t -> Xmlkit.Node.t list
+
+val descendants_matching : Ast.node_test -> Xmlkit.Node.t -> Xmlkit.Node.t list
+(** [descendant::test] from one node, in document order, without building
+    the list of all descendants. *)

@@ -239,7 +239,23 @@ and eval_path ctx root steps =
     if Value.is_all_nodes results then Value.document_order_dedup results
     else results
   in
-  List.fold_left apply_step initial steps
+  (* [//name] is descendant-or-self::node()/child::name; without
+     predicates (a positional one counts per parent) it selects exactly
+     descendant::name, found in one walk per input node instead of
+     listing every node of the input's subtrees first *)
+  let rec apply_steps input = function
+    | [] -> input
+    | { axis = Descendant_or_self; test = Kind_node; predicates = [] }
+      :: { axis = Child; test; predicates = [] }
+      :: rest ->
+        let nodes = Value.nodes_of "path step" input in
+        apply_steps
+          (Value.document_order_dedup
+             (Value.of_nodes (List.concat_map (Axes.descendants_matching test) nodes)))
+          rest
+    | step :: rest -> apply_steps (apply_step input step) rest
+  in
+  apply_steps initial steps
 
 (* A predicate: numeric value selects by position, otherwise EBV filters. *)
 and eval_predicate ctx (input : Value.t) pred =

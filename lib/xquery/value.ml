@@ -160,10 +160,19 @@ let value_compare cmp (a : t) (b : t) =
 
 (* --- sequences of nodes --- *)
 
+(* Path steps usually produce nodes already in strictly increasing
+   document order (one forward-axis step from one node, or from disjoint
+   subtrees in order), so one linear check decides whether the sort would
+   change anything.  Unsealed nodes compare equal and fail the check. *)
+let rec in_strict_document_order = function
+  | [] | [ Node _ ] -> true
+  | Node a :: (Node b :: _ as rest) ->
+      Node.compare_order a b < 0 && in_strict_document_order rest
+  | _ -> false
+
 let document_order_dedup (v : t) : t =
-  let nodes = nodes_of "path step" v in
-  let sorted = List.sort_uniq Node.compare_order nodes in
-  of_nodes sorted
+  if in_strict_document_order v then v
+  else of_nodes (List.sort_uniq Node.compare_order (nodes_of "path step" v))
 
 let is_all_nodes (v : t) =
   List.for_all (function Node _ -> true | _ -> false) v

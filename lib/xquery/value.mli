@@ -73,7 +73,9 @@ val arith : arith -> t -> t -> t
 
 val document_order_dedup : t -> t
 (** Sort nodes into document order and remove duplicates (path-step
-    semantics).  @raise Errors.Error ([XPTY0004]) on non-node items. *)
+    semantics).  A sequence already in strictly increasing document order
+    is returned as is, after one linear check.
+    @raise Errors.Error ([XPTY0004]) on non-node items. *)
 
 val is_all_nodes : t -> bool
 

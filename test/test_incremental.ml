@@ -3,9 +3,11 @@
    from-scratch build produces.
 
    1. complexity guards on deterministic quantities, not wall time: an
-      update shares (physically) every posting list it did not touch, and
-      a query over a one-document context pulls the same number of
-      postings however many other documents contain its words;
+      update shares (physically) every posting list it did not touch, a
+      query over a one-document context pulls the same number of
+      postings however many other documents contain its words, and
+      duplicating the corpus exactly doubles a per-node query's postings
+      and materialized matches;
    2. a differential property at scale: random add / remove / re-add
       sequences over a 120-document generated corpus fold to an index
       equal to re-indexing the folded sources (documents, words, postings
@@ -106,6 +108,60 @@ let test_padding_keeps_postings_read () =
             (Printf.sprintf "%s postings_read unchanged by padding: %s" name q)
             before
             (postings_read padded ~strategy ~context:"target.xml" q))
+        queries)
+    [
+      ("materialized", Engine.Native_materialized);
+      ("pipelined", Engine.Native_pipelined);
+    ]
+
+(* Duplicating the corpus under fresh uris doubles every context node, so
+   the per-node full-text work must exactly double: a leaf that fetched
+   more than its context documents' postings, or an operator whose output
+   depended on the corpus size, would show here.  Steps may add a constant
+   (the top-10 cut-off). *)
+let test_duplicated_corpus_doubles_work () =
+  let sources =
+    Corpus.Generator.books
+      {
+        Corpus.Generator.default_profile with
+        Corpus.Generator.seed = 1010;
+        doc_count = 30;
+        sections_per_doc = 2;
+        paras_per_section = 3;
+        words_per_para = 30;
+        vocab_size = 150;
+      }
+    |> List.map (fun (uri, d) -> (uri, Xmlkit.Printer.to_string d))
+  in
+  let doubled = sources @ List.map (fun (uri, s) -> ("dup-" ^ uri, s)) sources in
+  let queries =
+    [
+      Printf.sprintf {|count(collection()//p[. ftcontains "%s %s"])|} (w 0) (w 1);
+      Printf.sprintf
+        {|for $result at $rank in (for $node in collection()//book let $score := ft:score($node, "%s" && "%s") where $score > 0 order by $score descending return <result score="{$score}"/>) where $rank <= 10 return $result|}
+        (w 2) (w 7);
+    ]
+  in
+  let once = Engine.of_strings sources and twice = Engine.of_strings doubled in
+  List.iter
+    (fun (name, strategy) ->
+      List.iter
+        (fun q ->
+          let run e = Engine.run_query_report e ~strategy (Engine.parse q) in
+          let r1 = run once and r2 = run twice in
+          let c1 = r1.Engine.counters and c2 = r2.Engine.counters in
+          let label what = Printf.sprintf "%s %s: %s" name what q in
+          Alcotest.(check bool) (label "reads postings") true
+            (c1.Xquery.Limits.postings_read > 0
+            && c1.Xquery.Limits.allmatches_materialized > 0);
+          Alcotest.(check int) (label "postings_read doubles")
+            (2 * c1.Xquery.Limits.postings_read) c2.Xquery.Limits.postings_read;
+          Alcotest.(check int) (label "allmatches_materialized doubles")
+            (2 * c1.Xquery.Limits.allmatches_materialized)
+            c2.Xquery.Limits.allmatches_materialized;
+          if r2.Engine.steps > (2 * r1.Engine.steps) + 32 then
+            Alcotest.failf "%s: steps %d -> %d, more than 2x + 32" (label "steps")
+              r1.Engine.steps r2.Engine.steps)
         queries)
     [
       ("materialized", Engine.Native_materialized);
@@ -283,4 +339,6 @@ let tests =
       test_doc_of_node_follows_updates;
     Alcotest.test_case "tree ids unique across domains" `Quick
       test_tree_ids_unique_across_domains;
+    Alcotest.test_case "duplicated corpus doubles work" `Quick
+      test_duplicated_corpus_doubles_work;
   ]
